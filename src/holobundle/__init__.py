@@ -36,6 +36,7 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     IndefiniteLatticeError,
+    InvariantError,
     LatticeError,
 )
 from .lattice import (
@@ -60,6 +61,7 @@ __all__ = [
     "DomainError",
     "IndefiniteLatticeError",
     "IntersectionLattice",
+    "InvariantError",
     "LatticeError",
     "LatticeVector",
     "MBlowupReport",

@@ -36,6 +36,7 @@ from .lattice import (
     classify_definiteness,
     pairing,
     project_to_quotient,
+    qform,
     radical_and_quotient,
     vec_add,
     vec_scale,
@@ -70,10 +71,6 @@ class SuiteReport:
     @property
     def total_violations(self) -> int:
         return sum(res.violations for res in self.results)
-
-
-def _qform(gram, x) -> int:
-    return sum(x[i] * gram[i][j] * x[j] for i in range(len(x)) for j in range(len(x)))
 
 
 def prop_pairing_bilinear(rng: random.Random, count: int, radius: int) -> PropertyResult:
@@ -111,7 +108,7 @@ def prop_quotient_roundtrip(rng: random.Random, count: int, radius: int) -> Prop
         lat = random_nsd_lattice(rng, rng.randint(1, 3))
         qd = radical_and_quotient(lat)
         x = random_vector(rng, lat.rank, -3, 3)
-        if pairing(lat, x, x) != _qform(qd.quotient_gram, project_to_quotient(qd, x)):
+        if pairing(lat, x, x) != qform(qd.quotient_gram, project_to_quotient(qd, x)):
             bad += 1
     return PropertyResult("quotient-roundtrip", count, bad)
 
@@ -124,7 +121,7 @@ def _brute_force_classify(lat: IntersectionLattice, box: int = 3) -> Definitenes
     for x in product(range(-box, box + 1), repeat=lat.rank):
         if not any(x):
             continue
-        sq = _qform(lat.gram, x)
+        sq = qform(lat.gram, x)
         if sq > 0:
             return Definiteness.INDEFINITE_OR_POSITIVE
         if sq == 0:
@@ -240,7 +237,7 @@ def prop_m_seed_bound(rng: random.Random, count: int, radius: int) -> PropertyRe
         d = len(s)
         c = tuple(round_half_toward_zero(s[j], r) for j in range(d))
         ys = [c] * (r - 1) + [tuple(s[j] - (r - 1) * c[j] for j in range(d))]
-        seed_t = sum(_qform(q, [s[j] - r * y[j] for j in range(d)]) for y in ys)
+        seed_t = sum(qform(q, [s[j] - r * y[j] for j in range(d)]) for y in ys)
         if m_compute(lat, r, a).scaled_objective > seed_t:
             bad += 1
     return PropertyResult("m-balanced-seed-bound", count, bad)

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple, Union
-
-from fractions import Fraction
+from typing import List, Optional, Sequence, Tuple
 
 from .bundles import BundleTopology, discriminant
 from .errors import DomainError, LatticeError
@@ -101,7 +99,7 @@ class Verdict:
     filtrable: str
     clause: str
     delta: int
-    m_value: Optional[Union[int, Fraction]]
+    m_value: Optional[int]
     exceptional_case: bool = False
 
     def __post_init__(self) -> None:
@@ -174,7 +172,7 @@ class PrRecord:
     c1: LatticeVector
     c2: int
     delta: int
-    m_value: Union[int, Fraction]
+    m_value: int
     consistent: bool
 
 

@@ -22,3 +22,11 @@ class IndefiniteLatticeError(LatticeError):
     minus infinity (the surface would be algebraic), so callers get an
     error instead of a number.
     """
+
+
+class InvariantError(RuntimeError):
+    """An internal consistency check on a computed result failed.
+
+    Raised explicitly (never by assert) so the check survives python -O;
+    it signals a defect in the program, not a bad input.
+    """

@@ -127,6 +127,12 @@ def pairing(lattice: IntersectionLattice, x: Sequence[int], y: Sequence[int]) ->
     return sum(xv[i] * g[i][j] * yv[j] for i in range(len(xv)) for j in range(len(yv)))
 
 
+def qform(gram: Sequence[Sequence[int]], x: Sequence[int]) -> int:
+    """Value x^T gram x of the quadratic form of a square integer matrix."""
+    n = len(x)
+    return sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
+
+
 @lru_cache(maxsize=None)
 def classify_definiteness(lattice: IntersectionLattice) -> Definiteness:
     """Classify the Gram matrix by exact rational symmetric elimination.

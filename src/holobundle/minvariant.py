@@ -8,26 +8,37 @@ invariant computed here is
 
 with squares taken in the intersection form.  Working with the scaled
 objective T = -sum_i (a - r*mu_i)^2 keeps everything in integers; the
-value is T / r.  Deviations along the radical of the form cost nothing,
-so the search happens in the negative-definite quotient.
+value is T / r, and T is always divisible by r (expand the squares and
+use sum_i mu_i = a).  Deviations along the radical of the form cost
+nothing, so the search happens in the negative-definite quotient, where
+each summand y costs cost(y) = Q+(s - r*y) for the positive quotient
+form Q+ and the projection s of a.
 
 Two implementations are provided: m_oracle exhaustively enumerates a
 coordinate box around the balanced point a/r (with a certificate that
 the box provably contains the global optimum), and m_compute solves the
-same problem by branch-and-bound over an exact rational Cholesky
-factorisation of the substituted quadratic form.
+same problem exactly in two integer steps.  It lists every summand y
+with cost(y) <= B - (r-1)*c_min by one d-dimensional Fincke-Pohst
+enumeration of the ellipsoid around s/r (c_min is the cheapest cost),
+then searches non-decreasing multisets of those candidates under the
+sum constraint.  Every summand of a decomposition of total at most B
+costs at most B minus the other r-1 summands, each at least c_min, so
+when the optimum is at most B the candidates contain every optimal
+decomposition.  B starts at r*c_min and doubles until a decomposition
+is found, capped at the cost of the balanced decomposition, which is
+always feasible.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import List, Optional, Sequence, Tuple, Union
+from math import lcm
+from typing import List, Optional, Sequence, Tuple
 
 from . import intlinalg
-from .errors import DomainError, IndefiniteLatticeError
+from .errors import DomainError, IndefiniteLatticeError, InvariantError
 from .lattice import (
     Definiteness,
     IntersectionLattice,
@@ -37,28 +48,24 @@ from .lattice import (
     lift_from_quotient,
     pairing,
     project_to_quotient,
+    qform,
     radical_and_quotient,
     vec_add,
     vec_sub,
     vec_sum,
-    zero_vector,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class MResult:
     """Value, witness decomposition and scaled objective of m(r, a).
 
-    value is a non-negative integer in every intended case; if the
-    scaled objective ever failed to be divisible by r it would be the
-    exact rational T / r instead (loudly logged, never rounded).
-    certified is always True for m_compute; for m_oracle it records
-    whether the search box provably contained the global optimum.
+    value is the non-negative integer T / r.  certified is always True
+    for m_compute; for m_oracle it records whether the search box
+    provably contained the global optimum.
     """
 
-    value: Union[int, Fraction]
+    value: int
     decomposition: Tuple[LatticeVector, ...]
     scaled_objective: int
     certified: bool = True
@@ -93,10 +100,6 @@ def _require_semidefinite(lattice: IntersectionLattice) -> None:
             "lattice not negative semi-definite: m(r, a) would be -infinity "
             "(algebraic surface)"
         )
-
-
-def _qform(q: Sequence[Sequence[int]], x: Sequence[int]) -> int:
-    return sum(x[i] * q[i][j] * x[j] for i in range(len(x)) for j in range(len(x)))
 
 
 def _positive_quotient(qd: QuotientData) -> List[List[int]]:
@@ -156,19 +159,15 @@ def _finish(
     t: int,
     certified: bool,
 ) -> MResult:
-    assert vec_sum(decomposition, lattice.rank) == a
-    assert _scaled_objective_of(lattice, r, a, decomposition) == t
-    assert t >= 0
-    if t % r == 0:
-        value: Union[int, Fraction] = t // r
-    else:
-        log.error(
-            "scaled objective %d is not divisible by rank %d; returning the exact "
-            "rational value instead of rounding",
-            t,
-            r,
-        )
-        value = Fraction(t, r)
+    if vec_sum(decomposition, lattice.rank) != a:
+        raise InvariantError(f"witness summands do not add up to {a}")
+    if _scaled_objective_of(lattice, r, a, decomposition) != t:
+        raise InvariantError(f"scaled objective {t} does not match its witness")
+    if t < 0:
+        raise InvariantError(f"scaled objective {t} is negative")
+    value, rest = divmod(t, r)
+    if rest:
+        raise InvariantError(f"scaled objective {t} is not divisible by rank {r}")
     return MResult(value, decomposition, t, certified)
 
 
@@ -207,7 +206,7 @@ def m_oracle(
     hi = [center[j] + radius for j in range(d)]
 
     def cost(y: Sequence[int]) -> int:
-        return _qform(q, [s[j] - r * y[j] for j in range(d)])
+        return qform(q, [s[j] - r * y[j] for j in range(d)])
 
     items = sorted(
         ((cost(y), y) for y in product(*(range(lo[j], hi[j] + 1) for j in range(d)))),
@@ -275,136 +274,66 @@ def m_oracle(
 
 
 # ---------------------------------------------------------------------------
-# branch-and-bound
+# candidate enumeration plus multiset search
 
 
-def _polarize(objective, n: int) -> Tuple[List[List[Fraction]], List[Fraction], int]:
-    """Recover H, b, c0 with objective(z) = z^T H z + b^T z + c0 exactly."""
-    zero = [0] * n
-    c0 = objective(zero)
-    h = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
-    plus = []
-    for i in range(n):
-        e = zero.copy()
-        e[i] = 1
-        fp = objective(e)
-        e[i] = -1
-        fm = objective(e)
-        h[i][i] = Fraction(fp + fm - 2 * c0, 2)
-        b[i] = Fraction(fp - fm, 2)
-        plus.append(fp)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = zero.copy()
-            e[i] = 1
-            e[j] = 1
-            fij = objective(e)
-            hij = (Fraction(fij - c0) - h[i][i] - h[j][j] - b[i] - b[j]) / 2
-            h[i][j] = h[j][i] = hij
-    return h, b, c0
+_ScaledLdl = Tuple[List[int], List[List[int]], int, int]
 
 
-def _cholesky_udu(h: List[List[Fraction]]) -> Tuple[List[Fraction], List[List[Fraction]]]:
-    """h = U^T D U with U unit upper triangular, D positive diagonal."""
-    n = len(h)
-    work = [row.copy() for row in h]
-    diag: List[Fraction] = []
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        piv = work[k][k]
-        assert piv > 0, "substituted form must be positive definite"
-        diag.append(piv)
-        u[k][k] = Fraction(1)
-        for l in range(k + 1, n):
-            u[k][l] = work[k][l] / piv
-        for i in range(k + 1, n):
-            for j in range(i, n):
-                work[i][j] -= work[k][i] * work[k][j] / piv
-                work[j][i] = work[i][j]
-    return diag, u
+def _scaled_ldl(q: Sequence[Sequence[int]]) -> _ScaledLdl:
+    """Integers (dd, uu, den, scale) such that, for every integer vector v,
 
+        scale * q(v) = sum_k dd[k] * (den * v[k] + sum_{l>k} uu[k][l] * v[l])^2.
 
-def m_compute(lattice: IntersectionLattice, r: int, a: Sequence[int]) -> MResult:
-    """Exact global minimum of the scaled decomposition objective.
-
-    After translate-reduction and projection to the positive quotient
-    form, the last summand is substituted out and the resulting
-    positive-definite quadratic in (r-1)*d integer variables is
-    minimised by depth-first interval enumeration over its rational
-    Cholesky factorisation, seeded with the balanced decomposition.
-    Ties are broken toward the lexicographically smallest witness.
+    They clear the denominators of the exact factorisation q = U^T D U
+    (U unit upper triangular, D positive diagonal), so the enumeration
+    never touches a Fraction.
     """
-    av = _check_args(lattice, r, a)
-    _require_semidefinite(lattice)
-    if r == 1:
-        return _finish(lattice, 1, av, (av,), 0, True)
-    a_red = tuple(c % r for c in av)
-    lam = tuple((av[i] - a_red[i]) // r for i in range(len(av)))
-    qd = radical_and_quotient(lattice)
-    d = qd.quotient_rank
-    if d == 0:
-        dec = _assemble([()] * r, qd, lattice, av)
-        return _finish(lattice, r, av, dec, 0, True)
+    w = [[Fraction(x) for x in row] for row in q]
+    for k, row in enumerate(w):
+        if row[k] <= 0:
+            raise InvariantError("quotient form is not positive definite")
+        for i in range(k + 1, len(w)):
+            f = w[i][k] / row[k]
+            w[i] = [x - f * y for x, y in zip(w[i], row)]
+    u = [[x / row[k] for x in row] for k, row in enumerate(w)]
+    den = lcm(*(x.denominator for row in u for x in row))
+    dscale = lcm(*(row[k].denominator for k, row in enumerate(w)))
+    dd = [int(row[k] * dscale) for k, row in enumerate(w)]
+    return dd, [[int(x * den) for x in row] for row in u], den, dscale * den * den
 
-    q = _positive_quotient(qd)
-    s = project_to_quotient(qd, a_red)
-    # solutions are searched in the reduced frame; shifting them back by
-    # the projected translation aligns witnesses with the oracle's frame
-    shift = project_to_quotient(qd, lam)
-    n_vars = (r - 1) * d
 
-    def unpack(z: Sequence[int]) -> List[LatticeVector]:
-        ys = [tuple(z[i * d : (i + 1) * d]) for i in range(r - 1)]
-        last = tuple(s[j] - sum(y[j] for y in ys) for j in range(d))
-        ys.append(last)
-        return ys
+def _ellipsoid(
+    ldl: _ScaledLdl, s: Sequence[int], r: int, bound: int, shrink: bool = False
+) -> List[Tuple[int, LatticeVector]]:
+    """All (cost(y), y) with cost(y) = Q+(s - r*y) <= bound.
 
-    def objective(z: Sequence[int]) -> int:
-        return sum(_qform(q, [s[j] - r * y[j] for j in range(d)]) for y in unpack(z))
+    Fincke-Pohst enumeration from the last coordinate down, each level
+    visited in zigzag order from its rounded centre (Schnorr-Euchner).
+    With shrink the bound drops to every cost found, so the cheapest
+    points are among those returned.
+    """
+    dd, uu, den, scale = ldl
+    d, rd, limit = len(s), r * den, scale * bound
+    y, v = [0] * d, [0] * d  # v = s - r*y on the coordinates already fixed
+    found: List[Tuple[int, LatticeVector]] = []
 
-    def canonical(z: Sequence[int]) -> Tuple[LatticeVector, ...]:
-        ys = [vec_add(y, shift) for y in unpack(z)]
-        return _assemble(ys, qd, lattice, av)
-
-    h, b, c0 = _polarize(objective, n_vars)
-    zstar = intlinalg.solve_fractions(h, [-bi / 2 for bi in b])
-    t0 = Fraction(c0) + sum(bi * zi for bi, zi in zip(b, zstar)) / 2
-    diag, u = _cholesky_udu(h)
-
-    center = tuple(round_half_toward_zero(s[j], r) for j in range(d))
-    z_seed = list(center) * (r - 1)
-    best_t = objective(z_seed)
-    best_dec = canonical(z_seed)
-    best_quad = Fraction(best_t) - t0
-
-    zvals = [0] * n_vars
-
-    def leaf(quad: Fraction) -> None:
-        nonlocal best_t, best_dec, best_quad
-        total = t0 + quad
-        assert total.denominator == 1
-        t = int(total)
-        dec = canonical(zvals)
-        if t < best_t or (t == best_t and dec < best_dec):
-            best_t, best_dec = t, dec
-            best_quad = Fraction(best_t) - t0
-
-    def descend(k: int, partial: Fraction) -> None:
-        t_k = zstar[k]
-        for l in range(k + 1, n_vars):
-            t_k -= u[k][l] * (zvals[l] - zstar[l])
-        z0 = round_half_toward_zero(t_k.numerator, t_k.denominator)
+    def descend(k: int, partial: int) -> None:
+        g = den * s[k] + sum(uu[k][l] * v[l] for l in range(k + 1, d))
+        z0 = round_half_toward_zero(g, rd)
 
         def visit(z: int) -> bool:
-            term = diag[k] * (z - t_k) ** 2
-            if partial + term > best_quad:
+            nonlocal limit
+            total = partial + dd[k] * (g - rd * z) ** 2
+            if total > limit:
                 return False
-            zvals[k] = z
-            if k == 0:
-                leaf(partial + term)
+            y[k], v[k] = z, s[k] - r * z
+            if k:
+                descend(k - 1, total)
             else:
-                descend(k - 1, partial + term)
+                found.append((total // scale, tuple(y)))
+                if shrink:
+                    limit = total
             return True
 
         if not visit(z0):
@@ -419,5 +348,73 @@ def m_compute(lattice: IntersectionLattice, r: int, a: Sequence[int]) -> MResult
                 down_alive = visit(z0 - step)
             step += 1
 
-    descend(n_vars - 1, Fraction(0))
-    return _finish(lattice, r, av, best_dec, best_t, True)
+    descend(d - 1, 0)
+    return found
+
+
+def m_compute(lattice: IntersectionLattice, r: int, a: Sequence[int]) -> MResult:
+    """Exact global minimum of the scaled decomposition objective.
+
+    Candidate summands come from one ellipsoid enumeration around s/r;
+    non-decreasing multisets of them are searched with the last summand
+    fixed by the sum constraint, under a bound B that doubles from
+    r*c_min up to the balanced seed's cost (see the module docstring
+    for why this is exact).  Ties are broken toward the
+    lexicographically smallest witness.
+    """
+    av = _check_args(lattice, r, a)
+    _require_semidefinite(lattice)
+    if r == 1:
+        return _finish(lattice, 1, av, (av,), 0, True)
+    qd = radical_and_quotient(lattice)
+    d = qd.quotient_rank
+    if d == 0:
+        dec = _assemble([()] * r, qd, lattice, av)
+        return _finish(lattice, r, av, dec, 0, True)
+
+    q = _positive_quotient(qd)
+    s = project_to_quotient(qd, av)
+    ldl = _scaled_ldl(q)
+    center = tuple(round_half_toward_zero(s[j], r) for j in range(d))
+    last = tuple(s[j] - (r - 1) * center[j] for j in range(d))
+    c_center = qform(q, [s[j] - r * center[j] for j in range(d)])
+    t_seed = (r - 1) * c_center + qform(q, [s[j] - r * last[j] for j in range(d)])
+    c_min = min(c for c, _ in _ellipsoid(ldl, s, r, c_center, shrink=True))
+
+    bound = r * c_min
+    while True:
+        items = sorted(_ellipsoid(ldl, s, r, bound - (r - 1) * c_min))
+        index = {y: i for i, (_, y) in enumerate(items)}
+        best_t, best_dec = bound, None
+        chosen: List[LatticeVector] = []
+
+        def dfs(start: int, left: int, partial_sum: Tuple[int, ...], partial_cost: int) -> None:
+            # left summands remain; the last one is fixed by the sum
+            nonlocal best_t, best_dec
+            if left == 1:
+                y_last = tuple(s[j] - partial_sum[j] for j in range(d))
+                idx = index.get(y_last, -1)
+                if idx < start:
+                    return
+                t = partial_cost + items[idx][0]
+                if t > best_t:
+                    return
+                dec = _assemble(chosen + [y_last], qd, lattice, av)
+                if best_dec is None or t < best_t or dec < best_dec:
+                    best_t, best_dec = t, dec
+                return
+            for idx in range(start, len(items)):
+                c, y = items[idx]
+                # later items cost at least as much as this one
+                if partial_cost + left * c > best_t:
+                    break
+                chosen.append(y)
+                dfs(idx, left - 1, tuple(partial_sum[j] + y[j] for j in range(d)), partial_cost + c)
+                chosen.pop()
+
+        dfs(0, r, (0,) * d, 0)
+        if best_dec is not None:
+            return _finish(lattice, r, av, best_dec, best_t, True)
+        if bound >= t_seed:
+            raise InvariantError("the balanced decomposition was not found")
+        bound = min(max(2 * bound, r), t_seed)

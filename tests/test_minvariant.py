@@ -1,11 +1,19 @@
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from holobundle.errors import DimensionMismatchError, DomainError, IndefiniteLatticeError
-from holobundle.lattice import IntersectionLattice, pairing
+from holobundle import minvariant
+from holobundle.errors import (
+    DimensionMismatchError,
+    DomainError,
+    IndefiniteLatticeError,
+    InvariantError,
+)
+from holobundle.lattice import IntersectionLattice, pairing, radical_and_quotient
 from holobundle.minvariant import m_compute, m_oracle, m_translate_reduce
 from holobundle.sampling import random_nsd_lattice, random_vector
 
@@ -154,3 +162,98 @@ def test_oracle_agreement_seeded():
         got = m_oracle(lattice, r, a)
         if got.certified:
             assert (got.value, got.decomposition) == (want.value, want.decomposition)
+
+
+def _gram_form(rng, n, d):
+    # -B^T B for a random d x n matrix B: the radical is the kernel of B
+    b = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(d)]
+    return lat(*[[-sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)])
+
+
+def test_compute_equals_certified_oracle():
+    # whole MResult, witness included; radicals, d = 0..4, r = 1..6,
+    # classes translated far from the fundamental box
+    rng = random.Random(4)
+    for d in range(5):
+        for r in range(1, 7):
+            checked = 0
+            for _ in range(40):
+                n = d + rng.randint(0, 2)
+                lattice = _gram_form(rng, n, d)
+                if radical_and_quotient(lattice).quotient_rank != d:
+                    continue
+                a = tuple(rng.randint(0, r - 1) + r * rng.randint(-60, 60) for _ in range(n))
+                want = m_oracle(lattice, r, a)
+                if want.certified:
+                    assert m_compute(lattice, r, a) == want
+                    checked += 1
+                    if checked == 3:
+                        break
+            assert checked == 3, (d, r)
+
+
+# a skewed quotient basis (quotient Gram entries up to 66)
+ILL_CONDITIONED = lat([-4, 1, -1, -1], [1, -3, 0, 1], [-1, 0, -1, 0], [-1, 1, 0, -1])
+
+
+@pytest.mark.parametrize("a, radius", [((0, 0, 0, 2), 3), ((0, 0, 1, 1), 7)])
+def test_ill_conditioned_form(a, radius):
+    want = m_oracle(ILL_CONDITIONED, 4, a, radius=radius)
+    assert want.certified and m_compute(ILL_CONDITIONED, 4, a) == want
+
+
+def test_bound_doubles_until_found(monkeypatch):
+    bounds = []
+    enumerate_points = minvariant._ellipsoid
+
+    def recording(ldl, s, r, bound, shrink=False):
+        if not shrink:
+            bounds.append(bound)
+        return enumerate_points(ldl, s, r, bound, shrink)
+
+    monkeypatch.setattr(minvariant, "_ellipsoid", recording)
+    assert m_compute(ILL_CONDITIONED, 4, (0, 0, 1, 1)).value == 6
+    # candidate radius B - (r-1)*c_min for B = 4*2, 2*8, 2*16 (c_min = 2)
+    assert bounds == [2, 10, 26]
+
+
+def test_dense_rank_four_quotient_rank_six_bundle():
+    lattice = lat([-2, -1, 1, 1], [-1, -2, 1, -1], [1, 1, -2, 0], [1, -1, 0, -3])
+    res = m_compute(lattice, 6, (3, 1, 5, 3))
+    assert res.value == 27
+    assert res.decomposition == (
+        (0, 0, 0, 0),
+        (0, 0, 1, 0),
+        (0, 1, 1, 0),
+        (1, 0, 1, 1),
+        (1, 0, 1, 1),
+        (1, 0, 1, 1),
+    )
+    want = m_oracle(lattice, 6, (3, 1, 5, 3))
+    assert want.certified and res == want
+
+
+def test_corrupted_witness_raises_invariant_error():
+    res = m_compute(DIAG_21, 2, (1, 1))
+    dec, t = res.decomposition, res.scaled_objective
+    off_sum = ((dec[0][0] + 1,) + dec[0][1:],) + dec[1:]
+    with pytest.raises(InvariantError, match="add up"):
+        minvariant._finish(DIAG_21, 2, (1, 1), off_sum, t, True)
+    with pytest.raises(InvariantError, match="does not match"):
+        minvariant._finish(DIAG_21, 2, (1, 1), dec, t + 2, True)
+
+
+def test_invariant_error_survives_optimize_flag():
+    code = (
+        "from holobundle.errors import InvariantError\n"
+        "from holobundle.lattice import IntersectionLattice\n"
+        "from holobundle.minvariant import _finish\n"
+        "lattice = IntersectionLattice(((-2, 0), (0, -1)))\n"
+        "try:\n"
+        "    _finish(lattice, 2, (1, 1), ((0, 0), (0, 0)), 4, True)\n"
+        "except InvariantError:\n"
+        "    print('raised')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"

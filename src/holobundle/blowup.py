@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 from .bundles import BundleTopology, discriminant
-from .errors import DimensionMismatchError, DomainError, LatticeError
+from .errors import DimensionMismatchError, DomainError, InvariantError, LatticeError
 from .lattice import IntersectionLattice, LatticeVector, as_vector, pairing
 from .minvariant import m_compute
 
@@ -76,7 +76,8 @@ def decompose_c1(bmap: BlowupMap, c1_total: Sequence[int]) -> Tuple[LatticeVecto
         )
     k = -pairing(bmap.total, bmap.exceptional_class, vv)
     a = vv[: bmap.base.rank]
-    assert a + (k,) == vv
+    if a + (k,) != vv:
+        raise InvariantError(f"class {vv} does not split as base part plus {k} exceptional")
     return a, k
 
 
@@ -97,10 +98,12 @@ def normalize_twist(bmap: BlowupMap, bundle: BundleTopology) -> Tuple[BundleTopo
     q_old = pairing(bmap.total, bundle.c1, bundle.c1)
     q_new = pairing(bmap.total, c1_new, c1_new)
     num = (r - 1) * (q_new - q_old)
-    assert num % (2 * r) == 0
+    if num % (2 * r):
+        raise InvariantError(f"twist by {l} changes c2 by the non-integer {num}/{2 * r}")
     c2_new = bundle.c2 + num // (2 * r)
     twisted = BundleTopology(r, c1_new, c2_new, bundle.c1_in_ns)
-    assert discriminant(bmap.total, twisted) == discriminant(bmap.total, bundle)
+    if discriminant(bmap.total, twisted) != discriminant(bmap.total, bundle):
+        raise InvariantError(f"twist by {l} changed the discriminant")
     return twisted, l
 
 

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .errors import DomainError
-from .lattice import IntersectionLattice, LatticeVector, as_vector, in_scaled_sublattice, pairing
+from .lattice import IntersectionLattice, as_vector, in_scaled_sublattice, pairing
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class BundleTopology:
     c1_in_ns: bool = True
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
+        if not isinstance(self.rank, int) or self.rank < 1:
             raise DomainError(f"bundle rank must be a positive integer, got {self.rank}")
         if not isinstance(self.c2, int):
             raise DomainError("c2 must be an integer")

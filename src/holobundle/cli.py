@@ -41,57 +41,57 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_NOT_COVERED = 4
 
-
-def _bool_text(flag: bool) -> str:
-    return "true" if flag else "false"
+Field = Tuple[str, object]
 
 
-def _vector_text(v: Sequence[int]) -> str:
-    return "(" + ", ".join(str(c) for c in v) + ")"
+def _spell(value: object, structured: bool) -> str:
+    if value is None:
+        return "" if structured else "n/a"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        if value and isinstance(value[0], tuple):  # a decomposition into summands
+            return (";" if structured else "; ").join(_spell(mu, structured) for mu in value)
+        coords = [str(c) for c in value]
+        return ",".join(coords) if structured else "(" + ", ".join(coords) + ")"
+    return str(value)
 
 
-def _decomposition_text(dec, structured: bool) -> str:
-    if structured:
-        return ";".join(",".join(str(c) for c in mu) for mu in dec)
-    return "; ".join(_vector_text(mu) for mu in dec)
+def _render(cfg: JobConfig, fields: Sequence[Field]) -> List[str]:
+    """Spell (text key, value) fields as report lines in the job's format.
 
-
-def _line(structured: bool, key: str, value: str) -> str:
-    return f"{key}={value}" if structured else f"{key} = {value}"
+    The structured key is the text key with spaces replaced by `_`; see
+    the README's "Output" section for how each kind of value is spelled.
+    Runners return these lines; only the text-only `decide` marker and the
+    text `check` report are written by hand.
+    """
+    if cfg.output_format == "structured":
+        return [f"{key.replace(' ', '_')}={_spell(value, True)}" for key, value in fields]
+    return [f"{key} = {_spell(value, False)}" for key, value in fields]
 
 
 def _run_m(cfg: JobConfig) -> Tuple[List[str], int]:
     res = m_compute(cfg.surface.lattice, cfg.bundle.rank, cfg.bundle.c1)
-    s = cfg.output_format == "structured"
-    lines = [
-        _line(s, "m", str(res.value)),
-        _line(s, "scaled_objective" if s else "scaled objective", str(res.scaled_objective)),
-        _line(s, "decomposition", _decomposition_text(res.decomposition, s)),
-        _line(s, "certified", _bool_text(res.certified)),
+    fields = [
+        ("m", res.value),
+        ("scaled objective", res.scaled_objective),
+        ("decomposition", res.decomposition),
+        ("certified", res.certified),
     ]
-    return lines, EXIT_OK
+    return _render(cfg, fields), EXIT_OK
 
 
 def _run_delta(cfg: JobConfig) -> Tuple[List[str], int]:
     lat, bundle = cfg.surface.lattice, cfg.bundle
-    s = cfg.output_format == "structured"
-    lines = [
-        _line(s, "delta", str(discriminant(lat, bundle))),
-        _line(s, "p1", str(pontrjagin_p1(lat, bundle))),
-    ]
+    fields = [("delta", discriminant(lat, bundle)), ("p1", pontrjagin_p1(lat, bundle))]
     if bundle.rank == 2:
-        lines.append(_line(s, "w2_vanishes", _bool_text(w2_vanishes(lat, bundle))))
-    return lines, EXIT_OK
+        fields.append(("w2_vanishes", w2_vanishes(lat, bundle)))
+    return _render(cfg, fields), EXIT_OK
 
 
 def _run_chi(cfg: JobConfig) -> Tuple[List[str], int]:
     chi, integral = euler_characteristic(cfg.surface, cfg.bundle)
-    s = cfg.output_format == "structured"
-    lines = [
-        _line(s, "chi", str(chi)),
-        _line(s, "integral", _bool_text(integral)),
-    ]
-    return lines, EXIT_OK
+    return _render(cfg, [("chi", chi), ("integral", integral)]), EXIT_OK
 
 
 def _dispatch_decide(cfg: JobConfig) -> Verdict:
@@ -104,19 +104,16 @@ def _dispatch_decide(cfg: JobConfig) -> Verdict:
 
 def _run_decide(cfg: JobConfig) -> Tuple[List[str], int]:
     verdict = _dispatch_decide(cfg)
-    s = cfg.output_format == "structured"
-    m_text = "" if verdict.m_value is None else str(verdict.m_value)
-    if not s and not m_text:
-        m_text = "n/a"
-    lines = [
-        _line(s, "delta", str(verdict.delta)),
-        _line(s, "m", m_text),
-        _line(s, "holomorphic", verdict.holomorphic),
-        _line(s, "filtrable", verdict.filtrable),
-        _line(s, "clause", verdict.clause),
-        _line(s, "exceptional", _bool_text(verdict.exceptional_case)),
+    fields = [
+        ("delta", verdict.delta),
+        ("m", verdict.m_value),
+        ("holomorphic", verdict.holomorphic),
+        ("filtrable", verdict.filtrable),
+        ("clause", verdict.clause),
+        ("exceptional", verdict.exceptional_case),
     ]
-    if verdict.exceptional_case and not s:
+    lines = _render(cfg, fields)
+    if verdict.exceptional_case and cfg.output_format == "text":
         lines.append("EXCEPTIONAL: no holomorphic structure")
     code = EXIT_OK
     if cfg.strict and NOT_COVERED in (verdict.holomorphic, verdict.filtrable):
@@ -127,31 +124,18 @@ def _run_decide(cfg: JobConfig) -> Tuple[List[str], int]:
 def _run_blowup(cfg: JobConfig) -> Tuple[List[str], int]:
     bmap = blow_up(cfg.surface.lattice)
     rep = pullback_invariance_check(bmap, cfg.bundle)
-    s = cfg.output_format == "structured"
-    lines = [
-        _line(s, "base_rank" if s else "base rank", str(bmap.base.rank)),
-        _line(s, "total_rank" if s else "total rank", str(bmap.total.rank)),
-        _line(
-            s,
-            "exceptional_class" if s else "exceptional class",
-            ",".join(str(c) for c in bmap.exceptional_class)
-            if s
-            else _vector_text(bmap.exceptional_class),
-        ),
-        _line(
-            s,
-            "pullback_c1" if s else "pullback c1",
-            ",".join(str(c) for c in bmap.embed(cfg.bundle.c1))
-            if s
-            else _vector_text(bmap.embed(cfg.bundle.c1)),
-        ),
-        _line(s, "delta_base" if s else "delta base", str(rep.delta_base)),
-        _line(s, "delta_total" if s else "delta total", str(rep.delta_total)),
-        _line(s, "m_base" if s else "m base", str(rep.m_base)),
-        _line(s, "m_total" if s else "m total", str(rep.m_total)),
-        _line(s, "invariant", _bool_text(rep.holds)),
+    fields = [
+        ("base rank", bmap.base.rank),
+        ("total rank", bmap.total.rank),
+        ("exceptional class", bmap.exceptional_class),
+        ("pullback c1", bmap.embed(cfg.bundle.c1)),
+        ("delta base", rep.delta_base),
+        ("delta total", rep.delta_total),
+        ("m base", rep.m_base),
+        ("m total", rep.m_total),
+        ("invariant", rep.holds),
     ]
-    return lines, EXIT_OK
+    return _render(cfg, fields), EXIT_OK
 
 
 def _strip_last(lattice: IntersectionLattice) -> IntersectionLattice:
@@ -172,49 +156,36 @@ def _run_pushforward(cfg: JobConfig) -> Tuple[List[str], int]:
     a, k = decompose_c1(bmap, twisted.c1)
     delta = discriminant(total, twisted)
     mrep = m_blowup_inequality_check(bmap, bundle.rank, a, k)
-    s = cfg.output_format == "structured"
-    lines = [
-        _line(s, "k_raw" if s else "k raw", str(k_raw)),
-        _line(s, "twist", str(twist)),
-        _line(s, "k", str(k)),
-        _line(
-            s,
-            "normalized_c1" if s else "normalized c1",
-            ",".join(str(c) for c in twisted.c1) if s else _vector_text(twisted.c1),
-        ),
-        _line(s, "normalized_c2" if s else "normalized c2", str(twisted.c2)),
-        _line(s, "delta", str(delta)),
-        _line(
-            s,
-            "delta_bound" if s else "delta bound",
-            str(pushforward_delta_bound(delta, bundle.rank, k)),
-        ),
-        _line(s, "m_total" if s else "m total", str(mrep.m_total)),
-        _line(s, "m_base" if s else "m base", str(mrep.m_base)),
-        _line(s, "m_margin" if s else "m margin", str(mrep.margin)),
-        _line(s, "inequality", _bool_text(mrep.holds)),
+    fields = [
+        ("k raw", k_raw),
+        ("twist", twist),
+        ("k", k),
+        ("normalized c1", twisted.c1),
+        ("normalized c2", twisted.c2),
+        ("delta", delta),
+        ("delta bound", pushforward_delta_bound(delta, bundle.rank, k)),
+        ("m total", mrep.m_total),
+        ("m base", mrep.m_base),
+        ("m margin", mrep.margin),
+        ("inequality", mrep.holds),
     ]
-    return lines, EXIT_OK
+    return _render(cfg, fields), EXIT_OK
 
 
 def _run_check(cfg: JobConfig) -> Tuple[List[str], int]:
     rep = run_suite(cfg.seed, cfg.radius)
-    s = cfg.output_format == "structured"
-    lines = []
-    if s:
-        lines.append(f"seed={rep.seed}")
-        lines.append(f"radius={rep.radius}")
-        for res in rep.results:
-            lines.append(f"{res.name}={res.violations}")
-        lines.append(f"total={rep.total_violations}")
-    else:
-        lines.append(f"seed = {rep.seed}, radius = {rep.radius}")
-        for res in rep.results:
-            status = "ok" if res.violations == 0 else f"FAIL ({res.violations} violations)"
-            note = f", {res.note}" if res.note else ""
-            lines.append(f"{res.name}: {status} ({res.instances} instances{note})")
-        lines.append(f"violations: {rep.total_violations}")
     code = EXIT_OK if rep.total_violations == 0 else EXIT_VIOLATIONS
+    if cfg.output_format == "structured":
+        fields = [("seed", rep.seed), ("radius", rep.radius)]
+        fields += [(res.name, res.violations) for res in rep.results]
+        fields.append(("total", rep.total_violations))
+        return _render(cfg, fields), code
+    lines = [f"seed = {rep.seed}, radius = {rep.radius}"]
+    for res in rep.results:
+        status = "ok" if res.violations == 0 else f"FAIL ({res.violations} violations)"
+        note = f", {res.note}" if res.note else ""
+        lines.append(f"{res.name}: {status} ({res.instances} instances{note})")
+    lines.append(f"violations: {rep.total_violations}")
     return lines, code
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
 from .bundles import BundleTopology, discriminant
-from .errors import DomainError, LatticeError
+from .errors import DomainError, InvariantError, LatticeError
 from .lattice import (
     Definiteness,
     IntersectionLattice,
@@ -31,7 +31,6 @@ from .lattice import (
     as_vector,
     classify_definiteness,
     in_scaled_sublattice,
-    zero_vector,
 )
 from .minvariant import m_compute
 
@@ -104,11 +103,14 @@ class Verdict:
 
     def __post_init__(self) -> None:
         allowed = (YES, NO, NOT_COVERED)
-        assert self.holomorphic in allowed and self.filtrable in allowed
-        if self.filtrable == YES:
-            assert self.holomorphic == YES
-        if self.exceptional_case:
-            assert self.holomorphic == NO and self.filtrable == NO
+        if self.holomorphic not in allowed or self.filtrable not in allowed:
+            raise InvariantError(
+                f"verdict values must be in {allowed}, got {self.holomorphic!r}, {self.filtrable!r}"
+            )
+        if self.filtrable == YES and self.holomorphic != YES:
+            raise InvariantError(f"filtrable=yes needs holomorphic=yes, got {self.holomorphic!r}")
+        if self.exceptional_case and (self.holomorphic, self.filtrable) != (NO, NO):
+            raise InvariantError("the exceptional K3 case must be no/no")
 
 
 def _negative_c1(delta: int) -> Verdict:

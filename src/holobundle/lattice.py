@@ -15,7 +15,13 @@ from functools import lru_cache
 from typing import Sequence, Tuple
 
 from . import intlinalg
-from .errors import DimensionMismatchError, DomainError, IndefiniteLatticeError, LatticeError
+from .errors import (
+    DimensionMismatchError,
+    DomainError,
+    IndefiniteLatticeError,
+    InvariantError,
+    LatticeError,
+)
 
 LatticeVector = Tuple[int, ...]
 
@@ -27,10 +33,6 @@ def as_vector(coords: Sequence[int]) -> LatticeVector:
             raise LatticeError("vector coordinates must be integers")
         out.append(int(x))
     return tuple(out)
-
-
-def zero_vector(rank: int) -> LatticeVector:
-    return (0,) * rank
 
 
 def vec_add(x: LatticeVector, y: LatticeVector) -> LatticeVector:
@@ -187,10 +189,12 @@ def radical_and_quotient(lattice: IntersectionLattice) -> QuotientData:
         for i in range(rank_form)
     )
     for v in radical:
-        assert all(sum(lattice.gram[i][j] * v[j] for j in range(n)) == 0 for i in range(n))
+        if any(sum(lattice.gram[i][j] * v[j] for j in range(n)) for i in range(n)):
+            raise InvariantError(f"radical vector {v} pairs nontrivially with the lattice")
     if rank_form:
         sub = classify_definiteness(IntersectionLattice(quotient))
-        assert sub is Definiteness.NEGATIVE_DEFINITE
+        if sub is not Definiteness.NEGATIVE_DEFINITE:
+            raise InvariantError(f"quotient form is {sub.value}, expected negative definite")
     return QuotientData(radical, projection, quotient, lifts)
 
 

@@ -44,6 +44,7 @@ from .lattice import (
     IntersectionLattice,
     LatticeVector,
     QuotientData,
+    _require_vector,
     classify_definiteness,
     lift_from_quotient,
     pairing,
@@ -82,16 +83,9 @@ def m_translate_reduce(lattice: IntersectionLattice, r: int, a: Sequence[int]) -
 
 
 def _check_args(lattice: IntersectionLattice, r: int, a: Sequence[int]) -> LatticeVector:
-    if r < 1:
+    if not isinstance(r, int) or r < 1:
         raise DomainError(f"rank must be a positive integer, got {r}")
-    av = tuple(int(x) for x in a)
-    if len(av) != lattice.rank:
-        from .errors import DimensionMismatchError
-
-        raise DimensionMismatchError(
-            f"class has length {len(av)}, lattice rank is {lattice.rank}"
-        )
-    return av
+    return _require_vector(lattice, a, "class")
 
 
 def _require_semidefinite(lattice: IntersectionLattice) -> None:

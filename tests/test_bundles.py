@@ -29,6 +29,11 @@ def test_bundle_validation():
         BundleTopology(2, (1.5,), 0)
 
 
+def test_bundle_rejects_fractional_rank():
+    with pytest.raises(DomainError):
+        BundleTopology(2.5, (1,), 1)
+
+
 def test_discriminant_fixtures():
     assert discriminant(MINUS_TWO, BundleTopology(2, (1,), 1)) == 6
     assert discriminant(MINUS_TWO, BundleTopology(2, (0,), 1)) == 4

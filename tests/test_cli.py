@@ -61,6 +61,32 @@ def test_golden_check_deterministic():
     assert first.stdout == second.stdout == (GOLDEN / "check_seed42.txt").read_text()
 
 
+def _job(command, cfg, fmt):
+    return ("--command", command, "--config", str(DATA / cfg), "--format", fmt)
+
+
+REPORT_GOLDENS = [
+    ("blowup_text.txt", _job("blowup", "blowup_total.cfg", "text")),
+    ("blowup_structured.txt", _job("blowup", "blowup_total.cfg", "structured")),
+    ("pushforward_text.txt", _job("pushforward", "blowup_total.cfg", "text")),
+    ("pushforward_structured.txt", _job("pushforward", "blowup_total.cfg", "structured")),
+    ("delta_text.txt", _job("delta", "blowup_total.cfg", "text")),
+    ("chi_structured.txt", _job("chi", "blowup_total.cfg", "structured")),
+    ("decide_outside_ns_text.txt", _job("decide", "decide_outside_ns.cfg", "text")),
+    ("decide_outside_ns_structured.txt", _job("decide", "decide_outside_ns.cfg", "structured")),
+    ("m_rank0_text.txt", _job("m", "m_rank0.cfg", "text")),
+    ("m_rank0_structured.txt", _job("m", "m_rank0.cfg", "structured")),
+    ("check_seed42_structured.txt", ("--command", "check", "--seed", "42", "--format", "structured")),
+]
+
+
+@pytest.mark.parametrize("golden, args", REPORT_GOLDENS, ids=[g for g, _ in REPORT_GOLDENS])
+def test_golden_report_shapes(golden, args):
+    proc = cli(*args)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / golden).read_text()
+
+
 def test_structured_decide(tmp_path):
     cfg = tmp_path / "job.cfg"
     cfg.write_text((DATA / "m_witness.cfg").read_text())

@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -15,7 +18,7 @@ from holobundle.criteria import (
     decide_k3,
     property_pr_check,
 )
-from holobundle.errors import DomainError, LatticeError
+from holobundle.errors import DomainError, InvariantError, LatticeError
 from holobundle.lattice import IntersectionLattice
 from holobundle.minvariant import m_compute
 from holobundle.sampling import (
@@ -166,8 +169,78 @@ def test_generic_filtrable():
 
 
 def test_verdict_coherence_guard():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         Verdict(NO, YES, "k3-criterion", 0, 0)
+
+
+# Each case breaks one internal consistency check, by bad arguments or by
+# swapping in a wrong helper, and must still raise under python -O.
+INVARIANT_PROBE = textwrap.dedent(
+    """
+    import contextlib
+    from unittest import mock
+
+    from holobundle import blowup, criteria, intlinalg, lattice
+    from holobundle.bundles import BundleTopology
+    from holobundle.errors import InvariantError
+    from holobundle.lattice import IntersectionLattice
+
+    BMAP = blowup.blow_up(IntersectionLattice(((-2,),)))
+    BUNDLE = BundleTopology(2, (1, 3), 2)
+    real_pairing = blowup.pairing
+
+    def skewed_pairing(lat, x, y):
+        return real_pairing(lat, x, y) + (tuple(x) == tuple(y) == (1, 1))
+
+    def column_reduce_with_rank(rank_form):
+        def fake(gram, n):
+            eye = [[int(i == j) for j in range(n)] for i in range(n)]
+            return rank_form, eye, [row[:] for row in eye]
+        return fake
+
+    def probe(name, call, patch=None):
+        with mock.patch.object(*patch) if patch else contextlib.nullcontext():
+            try:
+                call()
+            except InvariantError:
+                print(name)
+
+    probe("verdict-values", lambda: criteria.Verdict("maybe", "no", "k3-criterion", 0, 0))
+    probe("verdict-filtrable", lambda: criteria.Verdict("no", "yes", "k3-criterion", 0, 0))
+    probe("verdict-exceptional", lambda: criteria.Verdict("yes", "yes", "k3-exceptional", 4, 0, True))
+    twist = lambda: blowup.normalize_twist(BMAP, BUNDLE)
+    probe("decompose", lambda: blowup.decompose_c1(BMAP, (1, 3)), (blowup, "pairing", lambda *a: 0))
+    probe("twist-c2", twist, (blowup, "pairing", skewed_pairing))
+    probe("twist-delta", twist, (blowup, "discriminant", lambda lat, b: b.c2))
+    probe(
+        "radical",
+        lambda: lattice.radical_and_quotient(IntersectionLattice(((-2,),))),
+        (intlinalg, "column_reduce", column_reduce_with_rank(0)),
+    )
+    probe(
+        "quotient",
+        lambda: lattice.radical_and_quotient(IntersectionLattice(((0, 0), (0, -1)))),
+        (intlinalg, "column_reduce", column_reduce_with_rank(2)),
+    )
+    """
+)
+
+
+def test_invariant_errors_survive_optimize_flag():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", INVARIANT_PROBE], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "verdict-values",
+        "verdict-filtrable",
+        "verdict-exceptional",
+        "decompose",
+        "twist-c2",
+        "twist-delta",
+        "radical",
+        "quotient",
+    ]
 
 
 def test_property_pr_on_direct_sums():

@@ -99,6 +99,18 @@ def test_m_rejects_bad_arguments():
         m_oracle(MINUS_TWO, 2, (1,), radius=0)
 
 
+@pytest.mark.parametrize("solver", [m_compute, m_oracle, m_translate_reduce])
+def test_m_rejects_fractional_class(solver):
+    with pytest.raises(DomainError):
+        solver(MINUS_TWO, 2, (1.7,))
+
+
+@pytest.mark.parametrize("solver", [m_compute, m_oracle, m_translate_reduce])
+def test_m_rejects_fractional_rank(solver):
+    with pytest.raises(DomainError):
+        solver(MINUS_TWO, 2.5, (1,))
+
+
 def test_oracle_matches_fixtures():
     for lattice, r, a in [
         (MINUS_TWO, 2, (1,)),

@@ -49,7 +49,7 @@ from .lattice import (
     pairing,
     radical_and_quotient,
 )
-from .minvariant import MResult, m_compute, m_oracle, m_translate_reduce
+from .minvariant import MResult, m_compute, m_oracle, m_value
 
 __version__ = "0.1.0"
 
@@ -87,7 +87,7 @@ __all__ = [
     "m_blowup_inequality_check",
     "m_compute",
     "m_oracle",
-    "m_translate_reduce",
+    "m_value",
     "normalize_twist",
     "pairing",
     "pontrjagin_p1",

@@ -9,6 +9,11 @@ c1(E) = (a, k) (base part a, exceptional coefficient k normalised into
     m_total(r, c1(E)) <= m_base(r, a) + k (r - k)
 
 and pulling back a bundle from the base preserves both delta and m.
+The m inequality is in fact an equality: m is additive over orthogonal
+sums and the exceptional block <-1> contributes k (r - k).  The checkers
+read m from minvariant.m_value, which sums over exactly those blocks, so
+their margins are 0 by construction; m_compute on the whole lattice is
+the independent check of the identity.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Iterable, List, Sequence, Tuple
 from .bundles import BundleTopology, discriminant
 from .errors import DimensionMismatchError, DomainError, InvariantError, LatticeError
 from .lattice import IntersectionLattice, LatticeVector, as_vector, pairing
-from .minvariant import m_compute
+from .minvariant import m_value
 
 
 @dataclass(frozen=True)
@@ -148,8 +153,8 @@ def m_blowup_inequality_check(
         raise DomainError(f"exceptional coefficient must lie in [0, {r}), got {k}")
     av = as_vector(a)
     c1_total = av + (k,)
-    m_total = m_compute(bmap.total, r, c1_total).value
-    m_base = m_compute(bmap.base, r, av).value
+    m_total = m_value(bmap.total, r, c1_total)
+    m_base = m_value(bmap.base, r, av)
     return MBlowupReport(r, k, m_total, m_base)
 
 
@@ -171,8 +176,8 @@ def pullback_invariance_check(bmap: BlowupMap, bundle: BundleTopology) -> Pullba
     return PullbackReport(
         discriminant(bmap.base, bundle),
         discriminant(bmap.total, pulled),
-        m_compute(bmap.base, bundle.rank, bundle.c1).value,
-        m_compute(bmap.total, pulled.rank, pulled.c1).value,
+        m_value(bmap.base, bundle.rank, bundle.c1),
+        m_value(bmap.total, pulled.rank, pulled.c1),
     )
 
 
@@ -216,8 +221,8 @@ def pr_transfer_check(
         twisted, l = normalize_twist(bmap, bundle)
         a, k = decompose_c1(bmap, twisted.c1)
         delta_total = discriminant(bmap.total, twisted)
-        m_total = m_compute(bmap.total, twisted.rank, twisted.c1).value
-        m_base = m_compute(bmap.base, twisted.rank, a).value
+        m_total = m_value(bmap.total, twisted.rank, twisted.c1)
+        m_base = m_value(bmap.base, twisted.rank, a)
         records.append(
             PrTransferRecord(
                 twisted.rank,

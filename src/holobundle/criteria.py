@@ -2,7 +2,8 @@
 
 Surfaces are non-algebraic; the intersection form on the Neron-Severi
 lattice is negative semi-definite.  The deciders compare the bundle's
-discriminant against the minimal-decomposition invariant m(r, c1):
+discriminant against the minimal-decomposition invariant m(r, c1), of
+which only the value is needed (minvariant.m_value):
 
   * K3, rank 2: filtrable iff delta >= m(2, c1); holomorphic iff
     delta >= min(6, m(2, c1)); except that delta = 4 with c1 in 2 NS on
@@ -20,19 +21,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .bundles import BundleTopology, discriminant
 from .errors import DomainError, InvariantError, LatticeError
 from .lattice import (
     Definiteness,
     IntersectionLattice,
-    LatticeVector,
     as_vector,
     classify_definiteness,
     in_scaled_sublattice,
 )
-from .minvariant import m_compute
+from .minvariant import m_value
 
 YES = "yes"
 NO = "no"
@@ -69,7 +69,9 @@ class SurfaceModel:
                 f"anticanonical has length {len(self.anticanonical)}, "
                 f"lattice rank is {self.lattice.rank}"
             )
-        if self.algebraic_dimension not in (0, 1):
+        if not isinstance(self.chi_o, int):
+            raise DomainError(f"chi_o must be an integer, got {self.chi_o!r}")
+        if not isinstance(self.algebraic_dimension, int) or self.algebraic_dimension not in (0, 1):
             raise DomainError(
                 f"algebraic dimension must be 0 or 1, got {self.algebraic_dimension}"
             )
@@ -126,7 +128,7 @@ def decide_k3(surface: SurfaceModel, bundle: BundleTopology) -> Verdict:
     delta = discriminant(surface.lattice, bundle)
     if not bundle.c1_in_ns:
         return _negative_c1(delta)
-    m = m_compute(surface.lattice, 2, bundle.c1).value
+    m = m_value(surface.lattice, 2, bundle.c1)
     if (
         surface.algebraic_dimension == 0
         and delta == 4
@@ -151,7 +153,7 @@ def decide_class_vii(surface: SurfaceModel, bundle: BundleTopology) -> Verdict:
         )
     if not bundle.c1_in_ns:
         return _negative_c1(delta)
-    m = m_compute(surface.lattice, bundle.rank, bundle.c1).value
+    m = m_value(surface.lattice, bundle.rank, bundle.c1)
     answer = YES if delta >= m else NO
     return Verdict(answer, answer, "vii-criterion", delta, m)
 
@@ -162,43 +164,7 @@ def decide_filtrable_generic(surface: SurfaceModel, bundle: BundleTopology) -> V
     delta = discriminant(surface.lattice, bundle)
     if not bundle.c1_in_ns:
         return _negative_c1(delta)
-    m = m_compute(surface.lattice, bundle.rank, bundle.c1).value
+    m = m_value(surface.lattice, bundle.rank, bundle.c1)
     if delta >= m:
         return Verdict(YES, YES, "generic-filtrable-criterion", delta, m)
     return Verdict(NOT_COVERED, NO, "generic-filtrable-criterion", delta, m)
-
-
-@dataclass(frozen=True)
-class PrRecord:
-    rank: int
-    c1: LatticeVector
-    c2: int
-    delta: int
-    m_value: int
-    consistent: bool
-
-
-@dataclass(frozen=True)
-class PrReport:
-    records: Tuple[PrRecord, ...]
-
-    @property
-    def violations(self) -> int:
-        return sum(1 for rec in self.records if not rec.consistent)
-
-
-def property_pr_check(surface: SurfaceModel, samples: Sequence[BundleTopology]) -> PrReport:
-    """Report, per sample, whether delta >= m(r, c1) holds.
-
-    The inequality is the numerical shadow of filtrability; samples
-    drawn from bundles that do admit a filtrable structure should never
-    violate it.
-    """
-    records: List[PrRecord] = []
-    for bundle in samples:
-        delta = discriminant(surface.lattice, bundle)
-        m = m_compute(surface.lattice, bundle.rank, bundle.c1).value
-        records.append(
-            PrRecord(bundle.rank, bundle.c1, bundle.c2, delta, m, delta >= m)
-        )
-    return PrReport(tuple(records))

@@ -27,12 +27,21 @@ when the optimum is at most B the candidates contain every optimal
 decomposition.  B starts at r*c_min and doubles until a decomposition
 is found, capped at the cost of the balanced decomposition, which is
 always feasible.
+
+The deciders and the blow-up checkers need only the value, and m_value
+gives it.  The objective and the sum constraint split over an orthogonal
+sum of lattices, so m is additive over the connected blocks of the Gram
+matrix (Eichler: a definite lattice decomposes uniquely into
+indecomposables; Conway-Sloane, SPLAG, ch. 15).  A rank-1 block <-g>
+has m = g*k*(r-k) with k = a mod r; a larger block runs the same search
+without the witness, which prunes every total not below the best found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
@@ -70,16 +79,6 @@ class MResult:
     decomposition: Tuple[LatticeVector, ...]
     scaled_objective: int
     certified: bool = True
-
-
-def m_translate_reduce(lattice: IntersectionLattice, r: int, a: Sequence[int]) -> LatticeVector:
-    """Translate a by r * lambda to the representative with coordinates in [0, r).
-
-    m(r, .) is invariant under such translations, so this is a cheap
-    preprocessing step that keeps enumeration boxes small.
-    """
-    av = _check_args(lattice, r, a)
-    return tuple(c % r for c in av)
 
 
 def _check_args(lattice: IntersectionLattice, r: int, a: Sequence[int]) -> LatticeVector:
@@ -145,6 +144,15 @@ def _scaled_objective_of(
     return total
 
 
+def _scaled_to_value(t: int, r: int) -> int:
+    if t < 0:
+        raise InvariantError(f"scaled objective {t} is negative")
+    value, rest = divmod(t, r)
+    if rest:
+        raise InvariantError(f"scaled objective {t} is not divisible by rank {r}")
+    return value
+
+
 def _finish(
     lattice: IntersectionLattice,
     r: int,
@@ -157,12 +165,7 @@ def _finish(
         raise InvariantError(f"witness summands do not add up to {a}")
     if _scaled_objective_of(lattice, r, a, decomposition) != t:
         raise InvariantError(f"scaled objective {t} does not match its witness")
-    if t < 0:
-        raise InvariantError(f"scaled objective {t} is negative")
-    value, rest = divmod(t, r)
-    if rest:
-        raise InvariantError(f"scaled objective {t} is not divisible by rank {r}")
-    return MResult(value, decomposition, t, certified)
+    return MResult(_scaled_to_value(t, r), decomposition, t, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -346,28 +349,29 @@ def _ellipsoid(
     return found
 
 
-def m_compute(lattice: IntersectionLattice, r: int, a: Sequence[int]) -> MResult:
-    """Exact global minimum of the scaled decomposition objective.
+def _search(
+    lattice: IntersectionLattice,
+    qd: QuotientData,
+    r: int,
+    a: LatticeVector,
+    witness: bool,
+) -> Tuple[int, Tuple[LatticeVector, ...]]:
+    """Scaled optimum T and one optimal decomposition, for r >= 2 and d >= 1.
 
     Candidate summands come from one ellipsoid enumeration around s/r;
     non-decreasing multisets of them are searched with the last summand
     fixed by the sum constraint, under a bound B that doubles from
     r*c_min up to the balanced seed's cost (see the module docstring
-    for why this is exact).  Ties are broken toward the
-    lexicographically smallest witness.
+    for why this is exact).  With witness, ties are kept and broken
+    toward the lexicographically smallest lifted decomposition, which is
+    returned.  Without, nothing is lifted: once a decomposition of total
+    T is found only strictly cheaper ones are searched for (T is an
+    integer, so the limit drops to T - 1), and the quotient summands of
+    the last one found are returned.
     """
-    av = _check_args(lattice, r, a)
-    _require_semidefinite(lattice)
-    if r == 1:
-        return _finish(lattice, 1, av, (av,), 0, True)
-    qd = radical_and_quotient(lattice)
     d = qd.quotient_rank
-    if d == 0:
-        dec = _assemble([()] * r, qd, lattice, av)
-        return _finish(lattice, r, av, dec, 0, True)
-
     q = _positive_quotient(qd)
-    s = project_to_quotient(qd, av)
+    s = project_to_quotient(qd, a)
     ldl = _scaled_ldl(q)
     center = tuple(round_half_toward_zero(s[j], r) for j in range(d))
     last = tuple(s[j] - (r - 1) * center[j] for j in range(d))
@@ -379,36 +383,143 @@ def m_compute(lattice: IntersectionLattice, r: int, a: Sequence[int]) -> MResult
     while True:
         items = sorted(_ellipsoid(ldl, s, r, bound - (r - 1) * c_min))
         index = {y: i for i, (_, y) in enumerate(items)}
-        best_t, best_dec = bound, None
+        # limit: the largest total still searched for
+        limit, best_t, best = bound, bound, None
         chosen: List[LatticeVector] = []
 
         def dfs(start: int, left: int, partial_sum: Tuple[int, ...], partial_cost: int) -> None:
             # left summands remain; the last one is fixed by the sum
-            nonlocal best_t, best_dec
+            nonlocal limit, best_t, best
             if left == 1:
                 y_last = tuple(s[j] - partial_sum[j] for j in range(d))
                 idx = index.get(y_last, -1)
                 if idx < start:
                     return
                 t = partial_cost + items[idx][0]
-                if t > best_t:
+                if t > limit:
                     return
-                dec = _assemble(chosen + [y_last], qd, lattice, av)
-                if best_dec is None or t < best_t or dec < best_dec:
-                    best_t, best_dec = t, dec
+                if witness:
+                    dec = _assemble(chosen + [y_last], qd, lattice, a)
+                    if best is None or t < best_t or dec < best:
+                        limit = best_t = t
+                        best = dec
+                else:
+                    limit, best_t, best = t - 1, t, tuple(chosen) + (y_last,)
                 return
             for idx in range(start, len(items)):
                 c, y = items[idx]
                 # later items cost at least as much as this one
-                if partial_cost + left * c > best_t:
+                if partial_cost + left * c > limit:
                     break
                 chosen.append(y)
                 dfs(idx, left - 1, tuple(partial_sum[j] + y[j] for j in range(d)), partial_cost + c)
                 chosen.pop()
 
         dfs(0, r, (0,) * d, 0)
-        if best_dec is not None:
-            return _finish(lattice, r, av, best_dec, best_t, True)
+        if best is not None:
+            return best_t, best
         if bound >= t_seed:
             raise InvariantError("the balanced decomposition was not found")
         bound = min(max(2 * bound, r), t_seed)
+
+
+def m_compute(lattice: IntersectionLattice, r: int, a: Sequence[int]) -> MResult:
+    """Exact global minimum of the scaled decomposition objective.
+
+    The search runs on the whole quotient (see _search) and returns the
+    lexicographically smallest optimal witness.
+    """
+    av = _check_args(lattice, r, a)
+    _require_semidefinite(lattice)
+    if r == 1:
+        return _finish(lattice, 1, av, (av,), 0, True)
+    qd = radical_and_quotient(lattice)
+    if qd.quotient_rank == 0:
+        dec = _assemble([()] * r, qd, lattice, av)
+        return _finish(lattice, r, av, dec, 0, True)
+    t, dec = _search(lattice, qd, r, av, witness=True)
+    return _finish(lattice, r, av, dec, t, True)
+
+
+# ---------------------------------------------------------------------------
+# value only, summed over orthogonal blocks
+
+
+_Blocks = Tuple[
+    Tuple[Tuple[int, int], ...],
+    Tuple[Tuple[Tuple[int, ...], IntersectionLattice], ...],
+]
+
+
+@lru_cache(maxsize=None)
+def _orthogonal_blocks(lattice: IntersectionLattice) -> _Blocks:
+    """Connected components of the Gram graph, whose edges are the non-zero
+    off-diagonal entries.
+
+    Returns (i, g) for each isolated coordinate i, of square -g, and
+    (coordinates, sub-lattice) for each larger component.  The lattice is
+    the orthogonal sum of these blocks.
+    """
+    g = lattice.gram
+    n = lattice.rank
+    seen = [False] * n
+    singles: List[Tuple[int, int]] = []
+    blocks: List[Tuple[Tuple[int, ...], IntersectionLattice]] = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        component, stack = [root], [root]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if g[i][j] and not seen[j]:
+                    seen[j] = True
+                    component.append(j)
+                    stack.append(j)
+        if len(component) == 1:
+            singles.append((root, -g[root][root]))
+        else:
+            coords = tuple(sorted(component))
+            sub = IntersectionLattice(tuple(tuple(g[i][j] for j in coords) for i in coords))
+            blocks.append((coords, sub))
+    return tuple(singles), tuple(blocks)
+
+
+def _block_value(block: IntersectionLattice, r: int, a: LatticeVector) -> int:
+    # a connected block of rank >= 2 has a non-zero entry, so d >= 1
+    qd = radical_and_quotient(block)
+    d = qd.quotient_rank
+    t, ys = _search(block, qd, r, a, witness=False)
+    q = _positive_quotient(qd)
+    s = project_to_quotient(qd, a)
+    if vec_sum(ys, d) != s:
+        raise InvariantError(f"quotient summands do not add up to {s}")
+    if sum(qform(q, [s[j] - r * y[j] for j in range(d)]) for y in ys) != t:
+        raise InvariantError(f"scaled objective {t} does not match its quotient summands")
+    return _scaled_to_value(t, r)
+
+
+def m_value(lattice: IntersectionLattice, r: int, a: Sequence[int]) -> int:
+    """m(r, a) without a witness; equal to m_compute(lattice, r, a).value.
+
+    The objective and the sum constraint both split over an orthogonal
+    sum of lattices, so m is the sum of m over the connected blocks of
+    the Gram graph (interleaved coordinates included).  An isolated
+    coordinate of square -g gives g * k * (r - k) with k = a_i mod r
+    (k summands at the upper and r - k at the lower rounding of a_i / r);
+    g = 0 is a radical coordinate.  A larger block runs the search
+    without witness on its own quotient.
+    """
+    av = _check_args(lattice, r, a)
+    _require_semidefinite(lattice)
+    if r == 1:
+        return 0
+    singles, blocks = _orthogonal_blocks(lattice)
+    total = 0
+    for i, g in singles:
+        k = av[i] % r
+        total += g * k * (r - k)
+    for coords, block in blocks:
+        total += _block_value(block, r, tuple(av[i] for i in coords))
+    return total

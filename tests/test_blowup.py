@@ -17,6 +17,7 @@ from holobundle.blowup import (
 from holobundle.bundles import BundleTopology, discriminant
 from holobundle.errors import DomainError
 from holobundle.lattice import IntersectionLattice, pairing
+from holobundle.minvariant import m_compute
 from holobundle.sampling import random_bundle, random_nsd_lattice, random_vector
 
 
@@ -149,3 +150,17 @@ def test_pr_transfer_seeded():
         assert 0 <= rec.k < rec.rank
         if rec.k == 0:
             assert rec.margin == 0
+
+
+def test_blowup_identity_by_the_unsplit_search():
+    # m_compute searches the whole blown-up lattice, so this checks the
+    # identity that m_value (and thus every margin above) has by construction
+    rng = random.Random(47)
+    for _ in range(80):
+        bmap = blow_up(random_nsd_lattice(rng, rng.randint(0, 3)))
+        r = rng.randint(2, 5)
+        a = random_vector(rng, bmap.base.rank)
+        k = rng.randint(-2 * r, 2 * r)
+        kk = k % r
+        total = m_compute(bmap.total, r, a + (k,)).value
+        assert total == m_compute(bmap.base, r, a).value + kk * (r - kk)

@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -16,11 +17,10 @@ from holobundle.criteria import (
     decide_class_vii,
     decide_filtrable_generic,
     decide_k3,
-    property_pr_check,
 )
 from holobundle.errors import DomainError, InvariantError, LatticeError
 from holobundle.lattice import IntersectionLattice
-from holobundle.minvariant import m_compute
+from holobundle.minvariant import m_compute, m_value
 from holobundle.sampling import (
     random_bundle,
     random_class_vii_surface,
@@ -244,9 +244,22 @@ def test_invariant_errors_survive_optimize_flag():
 
 
 def test_property_pr_on_direct_sums():
+    # sums of line bundles are filtrable, so delta >= m holds on them
     rng = random.Random(9)
     surface = SurfaceModel(SurfaceKind.CLASS_VII, MINUS_TWO, 0, (0,))
-    bundles = [random_direct_sum_bundle(rng, surface.lattice) for _ in range(50)]
-    report = property_pr_check(surface, bundles)
-    assert report.violations == 0
-    assert len(report.records) == 50
+    for _ in range(50):
+        bundle = random_direct_sum_bundle(rng, surface.lattice)
+        assert discriminant(surface.lattice, bundle) >= m_value(surface.lattice, bundle.rank, bundle.c1)
+        assert decide_filtrable_generic(surface, bundle).filtrable == YES
+
+
+@pytest.mark.parametrize("chi_o", [0.5, 1.0, Fraction(1)])
+def test_surface_rejects_non_integer_chi_o(chi_o):
+    with pytest.raises(DomainError, match="chi_o"):
+        SurfaceModel(SurfaceKind.CLASS_VII, MINUS_TWO, chi_o, (0,))
+
+
+@pytest.mark.parametrize("a_x", [0.0, 1.0])
+def test_surface_rejects_non_integer_algebraic_dimension(a_x):
+    with pytest.raises(DomainError, match="algebraic dimension"):
+        SurfaceModel(SurfaceKind.GENERIC, MINUS_TWO, 0, (0,), algebraic_dimension=a_x)

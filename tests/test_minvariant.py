@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,7 @@ from holobundle.errors import (
     InvariantError,
 )
 from holobundle.lattice import IntersectionLattice, pairing, radical_and_quotient
-from holobundle.minvariant import m_compute, m_oracle, m_translate_reduce
+from holobundle.minvariant import m_compute, m_oracle, m_value
 from holobundle.sampling import random_nsd_lattice, random_vector
 
 
@@ -26,21 +27,6 @@ MINUS_TWO = lat([-2])
 MINUS_ONE = lat([-1])
 DEGENERATE = lat([0, 0], [0, -1])
 DIAG_21 = lat([-2, 0], [0, -1])
-
-
-DIAG_22 = lat([-2, 0], [0, -2])
-
-
-def test_translate_reduce():
-    assert m_translate_reduce(DIAG_22, 3, (5, -1)) == (2, 2)
-    assert m_translate_reduce(DIAG_22, 2, (4, 0)) == (0, 0)
-
-
-@given(st.integers(2, 5), st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
-def test_translate_reduce_is_residue(r, a):
-    reduced = m_translate_reduce(DIAG_22, r, a)
-    assert all(0 <= c < r for c in reduced)
-    assert all((ai - ci) % r == 0 for ai, ci in zip(a, reduced))
 
 
 def test_m_fixture_minus_two():
@@ -99,13 +85,13 @@ def test_m_rejects_bad_arguments():
         m_oracle(MINUS_TWO, 2, (1,), radius=0)
 
 
-@pytest.mark.parametrize("solver", [m_compute, m_oracle, m_translate_reduce])
+@pytest.mark.parametrize("solver", [m_compute, m_oracle, m_value])
 def test_m_rejects_fractional_class(solver):
     with pytest.raises(DomainError):
         solver(MINUS_TWO, 2, (1.7,))
 
 
-@pytest.mark.parametrize("solver", [m_compute, m_oracle, m_translate_reduce])
+@pytest.mark.parametrize("solver", [m_compute, m_oracle, m_value])
 def test_m_rejects_fractional_rank(solver):
     with pytest.raises(DomainError):
         solver(MINUS_TWO, 2.5, (1,))
@@ -269,3 +255,106 @@ def test_invariant_error_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "raised\n"
+
+
+# ---------------------------------------------------------------------------
+# the value path: m_value, summed over the orthogonal blocks
+
+
+def _block_sum(rng):
+    """An orthogonal sum of small blocks under a random signed permutation:
+    <-g> with g = 0..3, the degenerate [[-1, 1], [1, -1]], and random
+    semi-definite forms of rank 1-2 (radicals included)."""
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        pick = rng.random()
+        if pick < 0.25:
+            blocks.append(((-rng.randint(0, 3),),))
+        elif pick < 0.35:
+            blocks.append(((-1, 1), (1, -1)))
+        else:
+            blocks.append(random_nsd_lattice(rng, rng.randint(1, 2)).gram)
+    n = sum(len(b) for b in blocks)
+    g = [[0] * n for _ in range(n)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                g[offset + i][offset + j] = x
+        offset += len(b)
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    return lat(*[[signs[i] * signs[j] * g[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+
+
+def test_value_equals_compute_on_block_sums():
+    rng = random.Random(41)
+    split = 0
+    for _ in range(600):
+        lattice = _block_sum(rng)
+        r = rng.randint(1, 6)
+        a = tuple(rng.randint(0, r - 1) + r * rng.randint(-20, 20) for _ in range(lattice.rank))
+        assert m_value(lattice, r, a) == m_compute(lattice, r, a).value, (lattice.gram, r, a)
+        singles, blocks = minvariant._orthogonal_blocks(lattice)
+        split += len(singles) + len(blocks) > 1
+    assert split > 300
+
+
+def test_value_equals_compute_on_connected_forms():
+    # no split: the search without witness on the whole quotient, radicals included
+    rng = random.Random(43)
+    for d in range(1, 5):
+        for r in range(1, 7):
+            for _ in range(5):
+                lattice = _gram_form(rng, d + rng.randint(0, 2), d)
+                a = tuple(rng.randint(0, r - 1) + r * rng.randint(-60, 60) for _ in range(lattice.rank))
+                assert m_value(lattice, r, a) == m_compute(lattice, r, a).value, (lattice.gram, r, a)
+
+
+def test_blocks_of_interleaved_coordinates():
+    lattice = lat([-2, 0, 1, 0], [0, 0, 0, 0], [1, 0, -2, 0], [0, 0, 0, -3])
+    assert minvariant._orthogonal_blocks(lattice) == (
+        ((1, 0), (3, 3)),
+        (((0, 2), lat([-2, 1], [1, -2])),),
+    )
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 3])
+def test_diagonal_value_equals_certified_oracle(g):
+    rng = random.Random(g)
+    for d in range(1, 4):
+        diagonal = lat(*[[-g if i == j else 0 for j in range(d)] for i in range(d)])
+        for r in range(2, 6):
+            a = tuple(rng.randint(-2 * r, 2 * r) for _ in range(d))
+            want = m_oracle(diagonal, r, a)
+            assert want.certified
+            assert m_value(diagonal, r, a) == want.value == g * sum((c % r) * (r - c % r) for c in a)
+
+
+def test_minus_one_chain_of_eight_is_fast():
+    chain = lat(*[[-1 if i == j else 0 for j in range(8)] for i in range(8)])
+    a = (0, 1, 2, 3, 4, 5, 6, 7)
+    start = time.perf_counter()
+    assert m_value(chain, 8, a) == sum(k * (8 - k) for k in a) == 84
+    assert time.perf_counter() - start < 1.0
+
+
+def test_value_path_invariant_survives_optimize_flag():
+    # every candidate is reported one unit too dear, so the T the search
+    # returns exceeds the recomputed cost of its summands
+    code = (
+        "from holobundle import minvariant\n"
+        "from holobundle.errors import InvariantError\n"
+        "from holobundle.lattice import IntersectionLattice\n"
+        "enumerate_points = minvariant._ellipsoid\n"
+        "def overpriced(ldl, s, r, bound, shrink=False):\n"
+        "    return [(c + 1, y) for c, y in enumerate_points(ldl, s, r, bound, shrink)]\n"
+        "minvariant._ellipsoid = overpriced\n"
+        "try:\n"
+        "    minvariant.m_value(IntersectionLattice(((-2, 1), (1, -2))), 2, (1, 0))\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("does not match its quotient summands\n")

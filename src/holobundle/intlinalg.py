@@ -100,6 +100,30 @@ def column_reduce(mat: Sequence[Sequence[int]], n_cols: int) -> Tuple[int, IntMa
     return pivot, b, binv
 
 
+def symmetric_elimination(mat: Sequence[Sequence[int]]) -> Tuple[IntMatrix, bool]:
+    """Fraction-free (Bareiss) elimination of a symmetric integer matrix.
+
+    Returns (w, psd), psd telling whether mat is positive semi-definite.
+    Row k of w (upper triangle) is the k-th elimination row times the last
+    non-zero pivot, so w[k][k] is a leading principal minor.  A zero pivot
+    with a zero row is skipped; one with a non-zero row, or a negative one,
+    stops with psd False.
+    """
+    w = [list(row) for row in mat]
+    prev = 1
+    for k, top in enumerate(w):
+        piv = top[k]
+        if piv < 0 or (piv == 0 and any(top[k + 1 :])):
+            return w, False
+        if piv:
+            for i in range(k + 1, len(w)):
+                f, row = top[i], w[i]
+                # exact by Sylvester's determinant identity
+                row[i:] = [(piv * x - f * y) // prev for x, y in zip(row[i:], top[i:])]
+            prev = piv
+    return w, True
+
+
 def solve_fractions(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> List[Fraction]:
     """Solve mat . x = rhs exactly; mat must be square and invertible."""
     n = len(rhs)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Tuple
 
@@ -137,33 +136,16 @@ def qform(gram: Sequence[Sequence[int]], x: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def classify_definiteness(lattice: IntersectionLattice) -> Definiteness:
-    """Classify the Gram matrix by exact rational symmetric elimination.
+    """Classify the Gram matrix by fraction-free symmetric elimination.
 
-    Works on the negated form: a pivot < 0 or a zero pivot with a
-    nonzero residual row disproves positive semi-definiteness, a zero
-    pivot with zero row marks degeneracy, and all-positive pivots mean
-    the original form is negative definite.  Rank 0 counts as definite.
+    The negated form is positive semi-definite exactly when the original
+    form is negative semi-definite (intlinalg.symmetric_elimination), and
+    a skipped zero pivot marks degeneracy.  Rank 0 counts as definite.
     """
-    n = lattice.rank
-    b = [[Fraction(-lattice.gram[i][j]) for j in range(n)] for i in range(n)]
-    degenerate = False
-    for i in range(n):
-        piv = b[i][i]
-        if piv < 0:
-            return Definiteness.INDEFINITE_OR_POSITIVE
-        if piv == 0:
-            # a PSD matrix with zero diagonal entry has a zero row there
-            if any(b[i][j] != 0 for j in range(i + 1, n)):
-                return Definiteness.INDEFINITE_OR_POSITIVE
-            degenerate = True
-            continue
-        for r in range(i + 1, n):
-            f = b[r][i] / piv
-            if f == 0:
-                continue
-            for c in range(i, n):
-                b[r][c] -= f * b[i][c]
-    if degenerate:
+    w, psd = intlinalg.symmetric_elimination([[-e for e in row] for row in lattice.gram])
+    if not psd:
+        return Definiteness.INDEFINITE_OR_POSITIVE
+    if not all(w[k][k] for k in range(lattice.rank)):
         return Definiteness.NEGATIVE_SEMIDEFINITE_DEGENERATE
     return Definiteness.NEGATIVE_DEFINITE
 
@@ -192,9 +174,9 @@ def radical_and_quotient(lattice: IntersectionLattice) -> QuotientData:
         if any(sum(lattice.gram[i][j] * v[j] for j in range(n)) for i in range(n)):
             raise InvariantError(f"radical vector {v} pairs nontrivially with the lattice")
     if rank_form:
-        sub = classify_definiteness(IntersectionLattice(quotient))
-        if sub is not Definiteness.NEGATIVE_DEFINITE:
-            raise InvariantError(f"quotient form is {sub.value}, expected negative definite")
+        w, psd = intlinalg.symmetric_elimination([[-e for e in row] for row in quotient])
+        if not (psd and all(w[k][k] for k in range(rank_form))):
+            raise InvariantError("quotient form is not negative definite")
     return QuotientData(radical, projection, quotient, lifts)
 
 

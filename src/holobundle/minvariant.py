@@ -19,14 +19,14 @@ coordinate box around the balanced point a/r (with a certificate that
 the box provably contains the global optimum), and m_compute solves the
 same problem exactly in two integer steps.  It lists every summand y
 with cost(y) <= B - (r-1)*c_min by one d-dimensional Fincke-Pohst
-enumeration of the ellipsoid around s/r (c_min is the cheapest cost),
-then searches non-decreasing multisets of those candidates under the
-sum constraint.  Every summand of a decomposition of total at most B
-costs at most B minus the other r-1 summands, each at least c_min, so
-when the optimum is at most B the candidates contain every optimal
-decomposition.  B starts at r*c_min and doubles until a decomposition
-is found, capped at the cost of the balanced decomposition, which is
-always feasible.
+enumeration of the ellipsoid around s/r (c_min is the cheapest cost) on
+the rows of a fraction-free elimination of Q+, then searches
+non-decreasing multisets of those candidates under the sum constraint.
+Every summand of a decomposition of total at most B costs at most B
+minus the other r-1 summands, each at least c_min, so when the optimum
+is at most B the candidates contain every optimal decomposition.  B
+starts at r*c_min and doubles until a decomposition is found, capped at
+the cost of the balanced decomposition, which is always feasible.
 
 The deciders and the blow-up checkers need only the value, and m_value
 gives it.  The objective and the sum constraint split over an orthogonal
@@ -171,6 +171,9 @@ def _finish(
 # ---------------------------------------------------------------------------
 # exhaustive oracle
 
+# largest (2 * radius + 1)^d box m_oracle materialises and sorts
+ORACLE_BOX_LIMIT = 10**6
+
 
 def m_oracle(
     lattice: IntersectionLattice, r: int, a: Sequence[int], radius: int = 3
@@ -183,6 +186,7 @@ def m_oracle(
     best value found is provably below the cost of any decomposition
     that leaves the box: a single out-of-box summand already costs at
     least (r(radius+1) - rho_j)^2 / (Q^-1)_jj along some coordinate j.
+    A box of more than ORACLE_BOX_LIMIT points raises DomainError.
     """
     av = _check_args(lattice, r, a)
     if radius < 1:
@@ -195,6 +199,12 @@ def m_oracle(
     if d == 0:
         dec = _assemble([()] * r, qd, lattice, av)
         return _finish(lattice, r, av, dec, 0, True)
+
+    if (2 * radius + 1) ** d > ORACLE_BOX_LIMIT:
+        raise DomainError(
+            f"radius {radius} box has {(2 * radius + 1) ** d} points in rank {d}, "
+            f"more than the limit {ORACLE_BOX_LIMIT}; decrease the radius"
+        )
 
     q = _positive_quotient(qd)
     s = project_to_quotient(qd, av)
@@ -274,54 +284,48 @@ def m_oracle(
 # candidate enumeration plus multiset search
 
 
-_ScaledLdl = Tuple[List[int], List[List[int]], int, int]
+_Ldl = Tuple[List[List[int]], List[int], int]
 
 
-def _scaled_ldl(q: Sequence[Sequence[int]]) -> _ScaledLdl:
-    """Integers (dd, uu, den, scale) such that, for every integer vector v,
+def _ldl(q: Sequence[Sequence[int]]) -> _Ldl:
+    """Integers (w, mult, scale) such that, for every integer vector v,
 
-        scale * q(v) = sum_k dd[k] * (den * v[k] + sum_{l>k} uu[k][l] * v[l])^2.
+        scale * q(v) = sum_k mult[k] * (w[k][k] * v[k] + sum_{l>k} w[k][l] * v[l])^2.
 
-    They clear the denominators of the exact factorisation q = U^T D U
-    (U unit upper triangular, D positive diagonal), so the enumeration
-    never touches a Fraction.
+    w is the fraction-free elimination of q, whose pivots w[k][k] are its
+    leading minors d_k; the k-th square enters q(v) divided by
+    d_{k-1} * d_k (d_{-1} = 1), and scale is the lcm of those products.
     """
-    w = [[Fraction(x) for x in row] for row in q]
-    for k, row in enumerate(w):
-        if row[k] <= 0:
-            raise InvariantError("quotient form is not positive definite")
-        for i in range(k + 1, len(w)):
-            f = w[i][k] / row[k]
-            w[i] = [x - f * y for x, y in zip(w[i], row)]
-    u = [[x / row[k] for x in row] for k, row in enumerate(w)]
-    den = lcm(*(x.denominator for row in u for x in row))
-    dscale = lcm(*(row[k].denominator for k, row in enumerate(w)))
-    dd = [int(row[k] * dscale) for k, row in enumerate(w)]
-    return dd, [[int(x * den) for x in row] for row in u], den, dscale * den * den
+    w, _ = intlinalg.symmetric_elimination(q)  # definite: radical_and_quotient checked it
+    dens = [(w[k - 1][k - 1] if k else 1) * w[k][k] for k in range(len(w))]
+    scale = lcm(*dens)
+    return w, [scale // x for x in dens], scale
 
 
 def _ellipsoid(
-    ldl: _ScaledLdl, s: Sequence[int], r: int, bound: int, shrink: bool = False
+    ldl: _Ldl, s: Sequence[int], r: int, bound: int, shrink: bool = False
 ) -> List[Tuple[int, LatticeVector]]:
     """All (cost(y), y) with cost(y) = Q+(s - r*y) <= bound.
 
-    Fincke-Pohst enumeration from the last coordinate down, each level
-    visited in zigzag order from its rounded centre (Schnorr-Euchner).
+    Fincke-Pohst enumeration over the rows of _ldl from the last coordinate
+    down, each level visited in zigzag order from its rounded centre
+    (Schnorr-Euchner), which level k divides by its own pivot w[k][k].
     With shrink the bound drops to every cost found, so the cheapest
     points are among those returned.
     """
-    dd, uu, den, scale = ldl
-    d, rd, limit = len(s), r * den, scale * bound
+    w, mult, scale = ldl
+    d, limit = len(s), scale * bound
     y, v = [0] * d, [0] * d  # v = s - r*y on the coordinates already fixed
     found: List[Tuple[int, LatticeVector]] = []
 
     def descend(k: int, partial: int) -> None:
-        g = den * s[k] + sum(uu[k][l] * v[l] for l in range(k + 1, d))
+        row, rd = w[k], r * w[k][k]
+        g = row[k] * s[k] + sum(row[l] * v[l] for l in range(k + 1, d))
         z0 = round_half_toward_zero(g, rd)
 
         def visit(z: int) -> bool:
             nonlocal limit
-            total = partial + dd[k] * (g - rd * z) ** 2
+            total = partial + mult[k] * (g - rd * z) ** 2
             if total > limit:
                 return False
             y[k], v[k] = z, s[k] - r * z
@@ -372,7 +376,7 @@ def _search(
     d = qd.quotient_rank
     q = _positive_quotient(qd)
     s = project_to_quotient(qd, a)
-    ldl = _scaled_ldl(q)
+    ldl = _ldl(q)
     center = tuple(round_half_toward_zero(s[j], r) for j in range(d))
     last = tuple(s[j] - (r - 1) * center[j] for j in range(d))
     c_center = qform(q, [s[j] - r * center[j] for j in range(d)])

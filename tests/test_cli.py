@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from holobundle.cli import run
+from holobundle.cli import main, run
 from holobundle.config import parse_config
 
 HERE = Path(__file__).parent
@@ -152,6 +152,14 @@ def test_exit_three_on_domain_errors(tmp_path):
     bad_total = "[surface]\nkind = class7\ngram = -2, 0; 0, -2\n[bundle]\nrank = 2\nc1 = 1, 1\nc2 = 0\n"
     proc = cli("--command", "pushforward", "--config", write(tmp_path, bad_total))
     assert proc.returncode == 3
+
+
+def test_exit_three_on_oracle_box_over_limit(capsys):
+    # the first oracle instance of check --seed 42 has quotient rank 3,
+    # and 50 is the smallest radius whose 101^3 box exceeds the limit
+    assert main(["--command", "check", "--seed", "42", "--radius", "50"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: radius 50 box has 1030301 points in rank 3")
 
 
 def test_exit_four_only_in_strict_mode(tmp_path):

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from holobundle.bundles import BundleTopology
 from holobundle.config import ConfigError, parse_config, render_config
-from holobundle.criteria import SurfaceKind
+from holobundle.criteria import SurfaceKind, SurfaceModel
+from holobundle.lattice import IntersectionLattice
 
 MINIMAL_K3 = """
 [surface]
@@ -37,6 +41,67 @@ def test_render_round_trip():
     again = parse_config(render_config(cfg.surface, cfg.bundle), "decide")
     assert again.surface == cfg.surface
     assert again.bundle == cfg.bundle
+
+
+@st.composite
+def surfaces_and_bundles(draw):
+    # -B^T B with B of k <= n rows: negative semi-definite, with a radical when k < n
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, n))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=k, max_size=k))
+    kind = draw(st.sampled_from(SurfaceKind))
+    even = 2 if kind is SurfaceKind.K3 else 1
+    gram = tuple(
+        tuple(-even * sum(row[i] * row[j] for row in rows) for j in range(n)) for i in range(n)
+    )
+    vector = st.tuples(*[st.integers(-5, 5)] * n)
+    if kind is SurfaceKind.K3:
+        chi_o, anticanonical = 2, (0,) * n
+    else:
+        chi_o, anticanonical = draw(st.integers(-3, 3)), draw(vector)
+    surface = SurfaceModel(
+        kind,
+        IntersectionLattice(gram),
+        chi_o,
+        anticanonical,
+        algebraic_dimension=draw(st.integers(0, 1)),
+        vii_applicable=draw(st.booleans()),
+    )
+    bundle = BundleTopology(
+        draw(st.integers(1, 6)), draw(vector), draw(st.integers(-50, 50)), draw(st.booleans())
+    )
+    return surface, bundle
+
+
+@given(surfaces_and_bundles())
+def test_render_parse_round_trip_fuzz(pair):
+    surface, bundle = pair
+    cfg = parse_config(render_config(surface, bundle), "decide")
+    assert (cfg.surface, cfg.bundle) == (surface, bundle)
+
+
+@given(surfaces_and_bundles(), st.integers(0, 3), st.data())
+def test_indefinite_gram_rejected_on_its_line(pair, pad, data):
+    surface, bundle = pair
+    gram = [list(row) for row in surface.lattice.gram] or [[0]]
+    n = len(gram)
+    i = data.draw(st.integers(0, n - 1))
+    if n > 1 and data.draw(st.booleans()):
+        # a zero square pairing non-trivially with another class
+        j = data.draw(st.integers(0, n - 2))
+        j += j >= i
+        gram[i][i] = 0
+        gram[i][j] = gram[j][i] = data.draw(st.sampled_from([-2, -1, 1, 2]))
+    else:
+        gram[i][i] = data.draw(st.integers(1, 4))
+    lines = render_config(surface, bundle).splitlines()
+    assert lines[2].startswith("gram = ")
+    lines[2] = "gram = " + "; ".join(", ".join(str(e) for e in row) for row in gram)
+    text = "# padding\n\n" * pad + "\n".join(lines) + "\n"
+    err = error_of(text)
+    assert err.message == "lattice not negative semi-definite"
+    assert err.line == 3 + 2 * pad
 
 
 def test_comments_and_blank_lines():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given
@@ -49,6 +50,84 @@ def test_definiteness_fixtures():
     assert classify_definiteness(lat([-2, 3], [3, -2])) is Definiteness.INDEFINITE_OR_POSITIVE
     # rank zero is vacuously definite
     assert classify_definiteness(lat()) is Definiteness.NEGATIVE_DEFINITE
+
+
+def _leibniz_det(m, idx):
+    # determinant of the principal minor on idx, by the permutation expansion
+    total = 0
+    for perm in permutations(range(len(idx))):
+        term = (-1) ** sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :])
+        for i, p in enumerate(perm):
+            term *= m[idx[i]][idx[p]]
+        total += term
+    return total
+
+
+def _sylvester_classify(gram):
+    # -G is PSD iff every principal minor is >= 0, definite iff every leading one is > 0
+    neg = [[-e for e in row] for row in gram]
+    n = len(neg)
+    minors = (c for k in range(1, n + 1) for c in combinations(range(n), k))
+    if any(_leibniz_det(neg, idx) < 0 for idx in minors):
+        return Definiteness.INDEFINITE_OR_POSITIVE
+    if all(_leibniz_det(neg, tuple(range(k))) > 0 for k in range(1, n + 1)):
+        return Definiteness.NEGATIVE_DEFINITE
+    return Definiteness.NEGATIVE_SEMIDEFINITE_DEGENERATE
+
+
+def _congruent_gram(rng, n):
+    """-(M^T E M) for a random unit upper-triangular M.
+
+    E is diagonal with entries in [-1, 3], zeros included, and may carry
+    one block [[0, c], [c, x]] with c != 0.  M keeps the leading minors of
+    E, so elimination meets zero pivots with zero rows (E_kk = 0) and a
+    zero pivot with a non-zero row (the block).
+    """
+    e = [[0] * n for _ in range(n)]
+    for i in range(n):
+        e[i][i] = rng.choice([-1, 0, 0, 1, 1, 2, 3])
+    if n >= 2 and rng.random() < 0.4:
+        k = rng.randrange(n - 1)
+        c = rng.choice([-2, -1, 1, 2])
+        e[k][k], e[k][k + 1], e[k + 1][k], e[k + 1][k + 1] = 0, c, c, rng.randint(-1, 3)
+    m = [[int(i == j) if j <= i else rng.randint(-2, 2) for j in range(n)] for i in range(n)]
+    return [
+        [-sum(m[s][i] * e[s][t] * m[t][j] for s in range(n) for t in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _random_symmetric(rng, n):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = rng.randint(-4, 2)
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = rng.randint(-3, 3)
+    return g
+
+
+def test_classification_equals_sylvester_criterion():
+    rng = random.Random(2024)
+    seen = {kind: 0 for kind in Definiteness}
+    for n in range(1200):
+        rank = n % 6
+        pick = n % 4
+        if pick == 0:
+            gram = [list(row) for row in random_nsd_lattice(rng, rank).gram]
+        elif pick == 1:
+            gram = _random_symmetric(rng, rank)
+        else:
+            gram = _congruent_gram(rng, rank)
+        # a signed permutation moves zero rows and zero pivots into the middle
+        perm = rng.sample(range(rank), rank)
+        signs = [rng.choice([-1, 1]) for _ in range(rank)]
+        gram = [
+            [signs[i] * signs[j] * gram[perm[i]][perm[j]] for j in range(rank)] for i in range(rank)
+        ]
+        want = _sylvester_classify(gram)
+        assert classify_definiteness(lat(*gram)) is want, gram
+        seen[want] += 1
+    assert min(seen.values()) >= 200, seen
 
 
 @st.composite

@@ -2,19 +2,28 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
+from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from holobundle import minvariant
+from holobundle import intlinalg, minvariant
 from holobundle.errors import (
     DimensionMismatchError,
     DomainError,
     IndefiniteLatticeError,
     InvariantError,
 )
-from holobundle.lattice import IntersectionLattice, pairing, radical_and_quotient
+from holobundle.lattice import (
+    IntersectionLattice,
+    pairing,
+    project_to_quotient,
+    qform,
+    radical_and_quotient,
+)
 from holobundle.minvariant import m_compute, m_oracle, m_value
 from holobundle.sampling import random_nsd_lattice, random_vector
 
@@ -83,6 +92,16 @@ def test_m_rejects_bad_arguments():
         m_compute(lat([2]), 2, (1,))
     with pytest.raises(DomainError):
         m_oracle(MINUS_TWO, 2, (1,), radius=0)
+
+
+@pytest.mark.parametrize(
+    "lattice, radius",
+    # the smallest radius whose box exceeds ORACLE_BOX_LIMIT in quotient rank 1, 2, 3
+    [(MINUS_TWO, 500_000), (DIAG_21, 500), (lat([-1, 0, 0], [0, -2, 0], [0, 0, -1]), 50)],
+)
+def test_oracle_rejects_box_over_limit(lattice, radius):
+    with pytest.raises(DomainError, match=f"more than the limit {minvariant.ORACLE_BOX_LIMIT}"):
+        m_oracle(lattice, 2, (1,) * lattice.rank, radius=radius)
 
 
 @pytest.mark.parametrize("solver", [m_compute, m_oracle, m_value])
@@ -213,6 +232,60 @@ def test_bound_doubles_until_found(monkeypatch):
     assert m_compute(ILL_CONDITIONED, 4, (0, 0, 1, 1)).value == 6
     # candidate radius B - (r-1)*c_min for B = 4*2, 2*8, 2*16 (c_min = 2)
     assert bounds == [2, 10, 26]
+
+
+def _definite_forms(rng, count):
+    # positive quotient forms Q+ of rank 1..3, from random_nsd_lattice
+    # (radicals included) and dense -B^T B forms taken in turn
+    forms = []
+    while len(forms) < count:
+        if len(forms) % 2:
+            lattice = _gram_form(rng, rng.randint(1, 3), rng.randint(1, 3))
+        else:
+            lattice = random_nsd_lattice(rng, rng.randint(1, 4))
+        qd = radical_and_quotient(lattice)
+        if 1 <= qd.quotient_rank <= 3:
+            a = random_vector(rng, lattice.rank, -9, 9)
+            forms.append((minvariant._positive_quotient(qd), project_to_quotient(qd, a)))
+    return forms
+
+
+def _box_scan(q, s, r, bound):
+    # |s_j - r*y_j|^2 <= bound * (Q^-1)_jj holds whenever Q(s - r*y) <= bound
+    ranges = []
+    for j, inv in enumerate(intlinalg.inverse_diagonal(q)):
+        t = isqrt(bound * inv.numerator // inv.denominator)
+        ranges.append(range(-((t - s[j]) // r), (s[j] + t) // r + 1))
+    costs = ((qform(q, [s[j] - r * y[j] for j in range(len(s))]), y) for y in product(*ranges))
+    return sorted((c, y) for c, y in costs if c <= bound)
+
+
+def test_ellipsoid_equals_box_scan():
+    rng = random.Random(31)
+    nonempty = 0
+    for q, s in _definite_forms(rng, 300):
+        r, bound = rng.randint(1, 4), rng.randint(0, 40)
+        got = minvariant._ellipsoid(minvariant._ldl(q), s, r, bound)
+        assert len({y for _, y in got}) == len(got)
+        assert sorted(got) == _box_scan(q, s, r, bound), (q, s, r, bound)
+        nonempty += bool(got)
+    assert nonempty >= 150
+
+
+def test_fraction_free_factorisation_identity():
+    # Q(v) = sum_k (w_kk v_k + sum_{l>k} w_kl v_l)^2 / (w_{k-1,k-1} w_kk)
+    rng = random.Random(37)
+    for q, _ in _definite_forms(rng, 200):
+        d = len(q)
+        w, psd = intlinalg.symmetric_elimination(q)
+        assert psd
+        _, mult, scale = minvariant._ldl(q)
+        for _ in range(5):
+            v = random_vector(rng, d, -6, 6)
+            rows = [sum(w[k][l] * v[l] for l in range(k, d)) for k in range(d)]
+            dens = [(w[k - 1][k - 1] if k else 1) * w[k][k] for k in range(d)]
+            assert sum(Fraction(x * x, den) for x, den in zip(rows, dens)) == qform(q, v)
+            assert sum(m * x * x for m, x in zip(mult, rows)) == scale * qform(q, v)
 
 
 def test_dense_rank_four_quotient_rank_six_bundle():

@@ -11,9 +11,11 @@ c1(E) = (a, k) (base part a, exceptional coefficient k normalised into
 and pulling back a bundle from the base preserves both delta and m.
 The m inequality is in fact an equality: m is additive over orthogonal
 sums and the exceptional block <-1> contributes k (r - k).  The checkers
-read m from minvariant.m_value, which sums over exactly those blocks, so
-their margins are 0 by construction; m_compute on the whole lattice is
-the independent check of the identity.
+read m from minvariant.m_value, which sums over the blocks of the
+quotient form; the exceptional class stays a quotient coordinate of its
+own there, read in closed form as k (r - k), so their margins are 0 by
+construction.  m_compute on the whole lattice is the independent check
+of the identity.
 """
 
 from __future__ import annotations
@@ -114,9 +116,9 @@ def normalize_twist(bmap: BlowupMap, bundle: BundleTopology) -> Tuple[BundleTopo
 
 def pushforward_delta_bound(delta_total: int, r: int, k: int) -> int:
     """Largest discriminant the pushforward to the base can have."""
-    if r < 1:
+    if not isinstance(r, int) or r < 1:
         raise DomainError(f"rank must be a positive integer, got {r}")
-    if not 0 <= k < r:
+    if not isinstance(k, int) or not 0 <= k < r:
         raise DomainError(f"exceptional coefficient must lie in [0, {r}), got {k}")
     return delta_total - k * (r - k)
 

@@ -528,8 +528,8 @@ _PROPERTIES: List[Tuple[_Prop, int]] = [
 ]
 
 
-def run_suite(seed: int, radius: int = 3, scale: int = 1) -> SuiteReport:
+def run_suite(seed: int, radius: int = 3) -> SuiteReport:
     """Run every property with a shared seeded stream."""
     rng = random.Random(seed)
-    results = tuple(prop(rng, count * scale, radius) for prop, count in _PROPERTIES)
+    results = tuple(prop(rng, count, radius) for prop, count in _PROPERTIES)
     return SuiteReport(seed, radius, results)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 check suite found violations, 2 config or
 usage error, 3 domain error (input outside a decision rule's hypotheses),
-4 strict mode and a verdict was not covered.
+4 strict mode and a verdict was not covered, 5 internal error (an
+invariant of the computation failed; a bug, not a property of the input).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .criteria import (
     decide_filtrable_generic,
     decide_k3,
 )
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .lattice import IntersectionLattice
 from .minvariant import m_compute
 
@@ -40,6 +41,7 @@ EXIT_VIOLATIONS = 1
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_NOT_COVERED = 4
+EXIT_INTERNAL = 5
 
 Field = Tuple[str, object]
 
@@ -258,6 +260,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     print(report)
     return code
 

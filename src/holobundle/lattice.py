@@ -24,6 +24,9 @@ from .errors import (
 
 LatticeVector = Tuple[int, ...]
 
+# entries kept by each lattice-keyed cache (here and in minvariant)
+LATTICE_CACHE_SIZE = 1024
+
 
 def as_vector(coords: Sequence[int]) -> LatticeVector:
     out = []
@@ -134,7 +137,7 @@ def qform(gram: Sequence[Sequence[int]], x: Sequence[int]) -> int:
     return sum(x[i] * gram[i][j] * x[j] for i in range(n) for j in range(n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def classify_definiteness(lattice: IntersectionLattice) -> Definiteness:
     """Classify the Gram matrix by fraction-free symmetric elimination.
 
@@ -150,7 +153,7 @@ def classify_definiteness(lattice: IntersectionLattice) -> Definiteness:
     return Definiteness.NEGATIVE_DEFINITE
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def radical_and_quotient(lattice: IntersectionLattice) -> QuotientData:
     """Saturated radical of the form and the negative-definite quotient."""
     if classify_definiteness(lattice) is Definiteness.INDEFINITE_OR_POSITIVE:
@@ -182,7 +185,7 @@ def radical_and_quotient(lattice: IntersectionLattice) -> QuotientData:
 
 def in_scaled_sublattice(lattice: IntersectionLattice, v: Sequence[int], k: int) -> bool:
     """Whether v lies in k times the lattice (every coordinate divisible)."""
-    if k < 1:
+    if not isinstance(k, int) or k < 1:
         raise DomainError(f"scale factor must be a positive integer, got {k}")
     vv = _require_vector(lattice, v)
     return all(c % k == 0 for c in vv)

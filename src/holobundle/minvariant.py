@@ -30,11 +30,13 @@ the cost of the balanced decomposition, which is always feasible.
 
 The deciders and the blow-up checkers need only the value, and m_value
 gives it.  The objective and the sum constraint split over an orthogonal
-sum of lattices, so m is additive over the connected blocks of the Gram
-matrix (Eichler: a definite lattice decomposes uniquely into
-indecomposables; Conway-Sloane, SPLAG, ch. 15).  A rank-1 block <-g>
-has m = g*k*(r-k) with k = a mod r; a larger block runs the same search
-without the witness, which prunes every total not below the best found.
+sum, so m is additive over the connected blocks of the positive quotient
+form Q+ (Eichler: a definite lattice decomposes uniquely into
+indecomposables; Conway-Sloane, SPLAG, ch. 15).  A quotient coordinate
+of square g that is +-a_j has m = g*k*(r-k) with k = a_j mod r; any
+other block runs the same search without the witness, which prunes every
+total not below the best found.  column_reduce only adds columns that
+meet in one row of G.b, so no block of Q+ straddles two blocks of G.
 """
 
 from __future__ import annotations
@@ -44,11 +46,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import intlinalg
 from .errors import DomainError, IndefiniteLatticeError, InvariantError
 from .lattice import (
+    LATTICE_CACHE_SIZE,
     Definiteness,
     IntersectionLattice,
     LatticeVector,
@@ -189,7 +192,7 @@ def m_oracle(
     A box of more than ORACLE_BOX_LIMIT points raises DomainError.
     """
     av = _check_args(lattice, r, a)
-    if radius < 1:
+    if not isinstance(radius, int) or radius < 1:
         raise DomainError(f"radius must be a positive integer, got {radius}")
     _require_semidefinite(lattice)
     if r == 1:
@@ -354,28 +357,26 @@ def _ellipsoid(
 
 
 def _search(
-    lattice: IntersectionLattice,
-    qd: QuotientData,
+    q: Sequence[Sequence[int]],
+    s: LatticeVector,
     r: int,
-    a: LatticeVector,
-    witness: bool,
+    lift: Optional[Callable[[List[LatticeVector]], Tuple[LatticeVector, ...]]] = None,
 ) -> Tuple[int, Tuple[LatticeVector, ...]]:
-    """Scaled optimum T and one optimal decomposition, for r >= 2 and d >= 1.
+    """Scaled optimum T and one optimal decomposition of s under the positive
+    definite form q, for r >= 2 and rank d >= 1.
 
     Candidate summands come from one ellipsoid enumeration around s/r;
     non-decreasing multisets of them are searched with the last summand
     fixed by the sum constraint, under a bound B that doubles from
     r*c_min up to the balanced seed's cost (see the module docstring
-    for why this is exact).  With witness, ties are kept and broken
-    toward the lexicographically smallest lifted decomposition, which is
+    for why this is exact).  With lift, ties are kept and broken toward
+    the lexicographically smallest lifted decomposition, which is
     returned.  Without, nothing is lifted: once a decomposition of total
     T is found only strictly cheaper ones are searched for (T is an
     integer, so the limit drops to T - 1), and the quotient summands of
     the last one found are returned.
     """
-    d = qd.quotient_rank
-    q = _positive_quotient(qd)
-    s = project_to_quotient(qd, a)
+    d = len(s)
     ldl = _ldl(q)
     center = tuple(round_half_toward_zero(s[j], r) for j in range(d))
     last = tuple(s[j] - (r - 1) * center[j] for j in range(d))
@@ -402,8 +403,8 @@ def _search(
                 t = partial_cost + items[idx][0]
                 if t > limit:
                     return
-                if witness:
-                    dec = _assemble(chosen + [y_last], qd, lattice, a)
+                if lift is not None:
+                    dec = lift(chosen + [y_last])
                     if best is None or t < best_t or dec < best:
                         limit = best_t = t
                         best = dec
@@ -441,89 +442,84 @@ def m_compute(lattice: IntersectionLattice, r: int, a: Sequence[int]) -> MResult
     if qd.quotient_rank == 0:
         dec = _assemble([()] * r, qd, lattice, av)
         return _finish(lattice, r, av, dec, 0, True)
-    t, dec = _search(lattice, qd, r, av, witness=True)
+    q, s = _positive_quotient(qd), project_to_quotient(qd, av)
+    t, dec = _search(q, s, r, lambda ys: _assemble(ys, qd, lattice, av))
     return _finish(lattice, r, av, dec, t, True)
 
 
 # ---------------------------------------------------------------------------
-# value only, summed over orthogonal blocks
+# value only, summed over the blocks of the quotient form
 
 
-_Blocks = Tuple[
-    Tuple[Tuple[int, int], ...],
-    Tuple[Tuple[Tuple[int, ...], IntersectionLattice], ...],
-]
+_Matrix = Tuple[Tuple[int, ...], ...]
+_Blocks = Tuple[Tuple[Tuple[int, int], ...], Tuple[Tuple[_Matrix, _Matrix], ...]]
 
 
-@lru_cache(maxsize=None)
-def _orthogonal_blocks(lattice: IntersectionLattice) -> _Blocks:
-    """Connected components of the Gram graph, whose edges are the non-zero
-    off-diagonal entries.
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _quotient_blocks(lattice: IntersectionLattice) -> _Blocks:
+    """Connected components of the graph of the positive quotient form,
+    whose edges are its non-zero off-diagonal entries.
 
-    Returns (i, g) for each isolated coordinate i, of square -g, and
-    (coordinates, sub-lattice) for each larger component.  The lattice is
-    the orthogonal sum of these blocks.
+    Returns (j, g) for each isolated quotient coordinate of square g whose
+    projection row is +-e_j, and (projection rows, form) on the quotient
+    coordinates of every other component.  The quotient form is the
+    orthogonal sum of these blocks.
     """
-    g = lattice.gram
-    n = lattice.rank
-    seen = [False] * n
+    qd = radical_and_quotient(lattice)
+    q = _positive_quotient(qd)
+    d = qd.quotient_rank
+    seen = [False] * d
     singles: List[Tuple[int, int]] = []
-    blocks: List[Tuple[Tuple[int, ...], IntersectionLattice]] = []
-    for root in range(n):
+    blocks: List[Tuple[_Matrix, _Matrix]] = []
+    for root in range(d):
         if seen[root]:
             continue
         seen[root] = True
         component, stack = [root], [root]
         while stack:
             i = stack.pop()
-            for j in range(n):
-                if g[i][j] and not seen[j]:
+            for j in range(d):
+                if q[i][j] and not seen[j]:
                     seen[j] = True
                     component.append(j)
                     stack.append(j)
-        if len(component) == 1:
-            singles.append((root, -g[root][root]))
+        row = [abs(c) for c in qd.projection[root]]
+        if len(component) == 1 and sum(row) == 1:
+            singles.append((row.index(1), q[root][root]))
         else:
-            coords = tuple(sorted(component))
-            sub = IntersectionLattice(tuple(tuple(g[i][j] for j in coords) for i in coords))
-            blocks.append((coords, sub))
+            coords = sorted(component)
+            form = tuple(tuple(q[i][j] for j in coords) for i in coords)
+            blocks.append((tuple(qd.projection[i] for i in coords), form))
     return tuple(singles), tuple(blocks)
-
-
-def _block_value(block: IntersectionLattice, r: int, a: LatticeVector) -> int:
-    # a connected block of rank >= 2 has a non-zero entry, so d >= 1
-    qd = radical_and_quotient(block)
-    d = qd.quotient_rank
-    t, ys = _search(block, qd, r, a, witness=False)
-    q = _positive_quotient(qd)
-    s = project_to_quotient(qd, a)
-    if vec_sum(ys, d) != s:
-        raise InvariantError(f"quotient summands do not add up to {s}")
-    if sum(qform(q, [s[j] - r * y[j] for j in range(d)]) for y in ys) != t:
-        raise InvariantError(f"scaled objective {t} does not match its quotient summands")
-    return _scaled_to_value(t, r)
 
 
 def m_value(lattice: IntersectionLattice, r: int, a: Sequence[int]) -> int:
     """m(r, a) without a witness; equal to m_compute(lattice, r, a).value.
 
     The objective and the sum constraint both split over an orthogonal
-    sum of lattices, so m is the sum of m over the connected blocks of
-    the Gram graph (interleaved coordinates included).  An isolated
-    coordinate of square -g gives g * k * (r - k) with k = a_i mod r
-    (k summands at the upper and r - k at the lower rounding of a_i / r);
-    g = 0 is a radical coordinate.  A larger block runs the search
-    without witness on its own quotient.
+    sum, so m is the sum of m over the blocks of the positive quotient
+    form (_quotient_blocks); the radical costs nothing.  A coordinate of
+    square g that is +-a_j gives g * k * (r - k) with k = a_j mod r (k
+    summands at the upper and r - k at the lower rounding of a_j / r;
+    k * (r - k) is even in k).  Every other block runs the search
+    without witness on its form and on a projected by its rows.
     """
     av = _check_args(lattice, r, a)
     _require_semidefinite(lattice)
     if r == 1:
         return 0
-    singles, blocks = _orthogonal_blocks(lattice)
+    singles, blocks = _quotient_blocks(lattice)
     total = 0
-    for i, g in singles:
-        k = av[i] % r
+    for j, g in singles:
+        k = av[j] % r
         total += g * k * (r - k)
-    for coords, block in blocks:
-        total += _block_value(block, r, tuple(av[i] for i in coords))
+    for rows, q in blocks:
+        s = intlinalg.mat_vec(rows, av)
+        d = len(s)
+        t, ys = _search(q, s, r)
+        if vec_sum(ys, d) != s:
+            raise InvariantError(f"quotient summands do not add up to {s}")
+        if sum(qform(q, [s[j] - r * y[j] for j in range(d)]) for y in ys) != t:
+            raise InvariantError(f"scaled objective {t} does not match its quotient summands")
+        total += _scaled_to_value(t, r)
     return total

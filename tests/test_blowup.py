@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,7 @@ from holobundle.blowup import (
 from holobundle.bundles import BundleTopology, discriminant
 from holobundle.errors import DomainError
 from holobundle.lattice import IntersectionLattice, pairing
-from holobundle.minvariant import m_compute
+from holobundle.minvariant import _quotient_blocks, m_compute
 from holobundle.sampling import random_bundle, random_nsd_lattice, random_vector
 
 
@@ -101,6 +102,19 @@ def test_pushforward_delta_bound():
         pushforward_delta_bound(6, 2, 2)
     with pytest.raises(DomainError):
         pushforward_delta_bound(6, 2, -1)
+    for r, k in ((2.5, 1), (2.0, 1), (2, 1.0), (3, Fraction(1))):
+        with pytest.raises(DomainError):
+            pushforward_delta_bound(5, r, k)
+
+
+def test_exceptional_coordinate_is_a_quotient_single():
+    # an ambient <-1> stays a +-e_n coordinate of the quotient form, so
+    # m_value reads it in closed form and the blow-up margins are 0
+    rng = random.Random(53)
+    for _ in range(200):
+        base = random_nsd_lattice(rng, rng.randint(0, 4))
+        singles, _ = _quotient_blocks(blow_up(base).total)
+        assert (base.rank, 1) in singles
 
 
 def test_m_inequality_tight_fixture():

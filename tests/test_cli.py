@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from holobundle import minvariant
 from holobundle.cli import main, run
 from holobundle.config import parse_config
 
@@ -168,6 +169,21 @@ def test_exit_four_only_in_strict_mode(tmp_path):
     proc = cli("--command", "decide", "--config", cfg, "--strict")
     assert proc.returncode == 4
     assert "holomorphic = not_covered" in proc.stdout
+
+
+def test_exit_five_on_internal_errors(monkeypatch, capsys):
+    # every candidate is reported one unit too dear, so the witness check
+    # in m_compute fails with an InvariantError
+    enumerate_points = minvariant._ellipsoid
+
+    def overpriced(ldl, s, r, bound, shrink=False):
+        return [(c + 1, y) for c, y in enumerate_points(ldl, s, r, bound, shrink)]
+
+    monkeypatch.setattr(minvariant, "_ellipsoid", overpriced)
+    assert main(["--command", "m", "--config", str(DATA / "m_witness.cfg")]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: scaled objective")
 
 
 def test_run_api_smoke():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -211,3 +212,6 @@ def test_in_scaled_sublattice():
     assert in_scaled_sublattice(lattice, (1, 2), 1)
     with pytest.raises(DomainError):
         in_scaled_sublattice(lattice, (1, 2), 0)
+    for k in (2.0, 2.5, Fraction(2)):
+        with pytest.raises(DomainError, match="scale factor"):
+            in_scaled_sublattice(lattice, (2, 2), k)

@@ -18,7 +18,9 @@ from holobundle.errors import (
     InvariantError,
 )
 from holobundle.lattice import (
+    LATTICE_CACHE_SIZE,
     IntersectionLattice,
+    classify_definiteness,
     pairing,
     project_to_quotient,
     qform,
@@ -92,6 +94,9 @@ def test_m_rejects_bad_arguments():
         m_compute(lat([2]), 2, (1,))
     with pytest.raises(DomainError):
         m_oracle(MINUS_TWO, 2, (1,), radius=0)
+    for radius in (2.5, 3.0, Fraction(3)):
+        with pytest.raises(DomainError, match="radius"):
+            m_oracle(lat([-2, 1], [1, -2]), 2, (1, 0), radius)
 
 
 @pytest.mark.parametrize(
@@ -360,6 +365,22 @@ def _block_sum(rng):
     return lat(*[[signs[i] * signs[j] * g[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
 
 
+def _ambient_components(lattice):
+    """Component index of each coordinate in the graph of the Gram matrix."""
+    n, g = lattice.rank, lattice.gram
+    comp = [-1] * n
+    for root in range(n):
+        if comp[root] < 0:
+            comp[root], stack = root, [root]
+            while stack:
+                i = stack.pop()
+                for j in range(n):
+                    if g[i][j] and comp[j] < 0:
+                        comp[j] = root
+                        stack.append(j)
+    return comp
+
+
 def test_value_equals_compute_on_block_sums():
     rng = random.Random(41)
     split = 0
@@ -368,9 +389,22 @@ def test_value_equals_compute_on_block_sums():
         r = rng.randint(1, 6)
         a = tuple(rng.randint(0, r - 1) + r * rng.randint(-20, 20) for _ in range(lattice.rank))
         assert m_value(lattice, r, a) == m_compute(lattice, r, a).value, (lattice.gram, r, a)
-        singles, blocks = minvariant._orthogonal_blocks(lattice)
+        singles, blocks = minvariant._quotient_blocks(lattice)
         split += len(singles) + len(blocks) > 1
     assert split > 300
+
+
+def test_quotient_blocks_stay_inside_one_gram_component():
+    # column_reduce only combines columns that meet in one row of G.b, so the
+    # quotient split is never coarser than the split of the ambient Gram
+    rng = random.Random(41)
+    for _ in range(600):
+        lattice = _block_sum(rng)
+        comp = _ambient_components(lattice)
+        _, blocks = minvariant._quotient_blocks(lattice)
+        for rows, _ in blocks:
+            touched = {comp[c] for row in rows for c, x in enumerate(row) if x}
+            assert len(touched) == 1, (lattice.gram, rows)
 
 
 def test_value_equals_compute_on_connected_forms():
@@ -385,11 +419,25 @@ def test_value_equals_compute_on_connected_forms():
 
 
 def test_blocks_of_interleaved_coordinates():
+    # coordinate 1 spans the radical and drops out; 3 is a single; {0, 2}
+    # is one block, an A2 form in column_reduce's quotient basis
     lattice = lat([-2, 0, 1, 0], [0, 0, 0, 0], [1, 0, -2, 0], [0, 0, 0, -3])
-    assert minvariant._orthogonal_blocks(lattice) == (
-        ((1, 0), (3, 3)),
-        (((0, 2), lat([-2, 1], [1, -2])),),
-    )
+    singles, blocks = minvariant._quotient_blocks(lattice)
+    assert singles == ((3, 3),)
+    assert len(blocks) == 1
+    rows, form = blocks[0]
+    assert {c for row in rows for c, x in enumerate(row) if x} == {0, 2}
+    assert len(form) == 2 and form[0][0] * form[1][1] - form[0][1] ** 2 == 3
+
+
+def test_lattice_caches_are_bounded():
+    caches = (classify_definiteness, radical_and_quotient, minvariant._quotient_blocks)
+    for g in range(1, LATTICE_CACHE_SIZE + 20):
+        m_value(lat([-g]), 2, (1,))
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == LATTICE_CACHE_SIZE
+        assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("g", [0, 1, 2, 3])
